@@ -267,95 +267,155 @@ def weighted_fitness(classing: EquivalenceClassing, weights: np.ndarray) -> np.n
     return fitness
 
 
-def _uniform_pick_from_mask(mask: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Pick one set column per row, uniformly among that row's set columns.
+# Events run in blocks of about this many (event, class) entries, so every
+# per-block temporary stays near 8 MB of float64 whatever the event count.
+_BLOCK_ENTRIES = 1 << 20
 
-    One uniform is drawn per row whether or not that row has several
+
+def _event_blocks(n_events: int, k: int):
+    """Near-equal (start, stop) event blocks of at least
+    ``max(2, _BLOCK_ENTRIES // k)`` rows each, or one block of every event.
+
+    No block holds a single row unless ``n_events == 1``: numpy computes a
+    one-row product as a matrix-vector product, which rounds differently
+    from the same row inside a larger product, so a lone row could change
+    a pick that depends on the last bit.
+    """
+    n_blocks = max(1, n_events // max(2, _BLOCK_ENTRIES // k))
+    bounds = np.arange(n_blocks + 1) * n_events // n_blocks
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
+def _pick_marked(marked: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Pick one marked column per row, uniformly among that row's marked
+    columns: the one at position ``floor(u * count)`` in column order.
+
+    ``u`` holds one uniform per row whether or not that row has several
     candidates, so stream consumption does not depend on the data.
     """
-    counts = mask.sum(axis=1)
-    u = gen.random(mask.shape[0])
-    if (counts == 1).all():
-        return mask.argmax(axis=1)
-    target = np.minimum(np.floor(u * counts).astype(np.int64), counts - 1)
-    cum = mask.cumsum(axis=1)
-    return (cum > target[:, None]).argmax(axis=1)
+    picks = marked.argmax(axis=1)
+    counts = marked.sum(axis=1)
+    many = np.flatnonzero(counts > 1)
+    if many.size:
+        _, cols = np.nonzero(marked[many])
+        c = counts[many]
+        target = np.minimum(np.floor(u[many] * c).astype(np.int64), c - 1)
+        picks[many] = cols[np.cumsum(c) - c + target]
+    return picks
 
 
-def _argmin_uniform_ties(fitness: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Per-row argmin with ties broken uniformly at random."""
-    rowmin = fitness.min(axis=1, keepdims=True)
-    return _uniform_pick_from_mask(fitness == rowmin, gen)
+def _agreed_cases(tied: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
+    """Per row of ``tied`` (each marking at least two classes), the cases on
+    which every marked class has the same error as the row's first one.
+
+    Rows are compared as (row, class) pairs, whole rows at a time, with
+    about ``_BLOCK_ENTRIES`` gathered errors per slice.
+    """
+    m = class_errors.shape[1]
+    _, cols = np.nonzero(tied)
+    counts = tied.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    first = np.repeat(cols[starts], counts)
+    differs = np.empty((tied.shape[0], m), dtype=bool)
+    budget = max(1, _BLOCK_ENTRIES // m)
+    lo = 0
+    while lo < tied.shape[0]:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + budget, side="right")))
+        a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
+        pairs = class_errors[cols[a:b]] != class_errors[first[a:b]]
+        differs[lo:hi] = np.logical_or.reduceat(pairs, starts[lo:hi] - a, axis=0)
+        lo = hi
+    return ~differs
 
 
-def _agreed_cases(tie_mask: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
-    """Per event, the cases on which every flagged class has the same
-    error.  Chunked so the (events, classes, cases) cube stays small."""
-    n = tie_mask.shape[0]
-    k, m = class_errors.shape
-    out = np.empty((n, m), dtype=bool)
-    chunk = max(1, 2_000_000 // (k * m))
-    for start in range(0, n, chunk):
-        t = tie_mask[start : start + chunk]
-        vals = np.where(t[:, :, None], class_errors[None, :, :], np.nan)
-        out[start : start + chunk] = np.nanmax(vals, axis=1) == np.nanmin(vals, axis=1)
-    return out
+def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
+    z = scores - scores.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    # Subnormal weights cost an order of magnitude in the matrix product
+    # and can only matter when every larger contribution cancels
+    # bit-exactly; flushing them to zero turns that corner into a tie the
+    # later rounds resolve at full precision, the same way masked cases
+    # are.
+    z[z < np.finfo(np.float64).tiny] = 0.0
+    return z
 
 
-def _cascaded_argmin(
-    scores: np.ndarray, class_errors: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
-    """Argmin of softmax-weighted mean error per event, faithful to the
-    real-valued computation across the full pressure range.
+def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
+    """Mark, per event, the classes of least softmax-weighted mean error,
+    faithful to the real-valued computation across the full pressure
+    range.
 
     High pressure spreads the case weights over many more orders of
     magnitude than a float64 sum can represent, so the contributions
     that should separate classes tied on the heaviest cases are rounded
     away and the argmin degenerates into a coin flip.  The cascade
-    recovers the lost information: after one aggregation pass, classes
-    whose fitness is bit-equal have (up to absorbed terms) identical
-    contributions, so the cases on which all tied classes agree cancel
-    exactly and can be removed; the remaining scores are re-shifted,
-    which brings the previously underflowed weights back into float
-    range, and the contested events are aggregated again.  Each round
-    settles an event or removes at least one of its cases, so at most m
-    rounds run; without bit-equal ties the loop exits after one.  Ties
-    that persist with no agreed case left lie below float resolution
-    and are broken uniformly, one draw per event either way.
+    recovers the lost information: after one aggregation pass, the
+    classes whose fitness ties with the event's minimum are kept, the
+    cases on which all of them agree are removed (their contributions
+    are equal, so removing them keeps the real-valued order among the
+    tied classes), the remaining scores are re-shifted, which brings the
+    previously underflowed weights back into float range, and the
+    contested events are aggregated again.  Each round settles an event
+    or removes at least one of its cases, so at most m rounds run;
+    without ties only the first runs.  Classes still marked together
+    when no agreed case is left lie below float resolution.
+
+    Ties are relative, not bit-equal.  With the per-case shift every
+    weight and error is non-negative, so each computed fitness lies
+    within about m * eps / 2 (relative) of its exact value, and the
+    batched product can round two classes of equal real fitness a few
+    ulps apart in either order.  A class therefore counts as tied when
+    its fitness is within 2 * m * eps of the event minimum.  Every class
+    of least real fitness passes that test; a tied class that is in fact
+    worse loses in a later round, once the agreed cases are gone, unless
+    it differs from the others only below float resolution.
     """
-    n_events, m = scores.shape
-    k = class_errors.shape[0]
-    survivors = np.ones((n_events, k), dtype=bool)
-    usable = np.ones((n_events, m), dtype=bool)
-    active = np.arange(n_events)
-    for _ in range(m + 1):
-        s = np.where(usable[active], scores[active], -np.inf)
-        z = s - s.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        # Subnormal weights cost an order of magnitude in the matrix
-        # product and can only matter when every larger contribution
-        # cancels bit-exactly; flushing them to zero turns that corner
-        # into a tie the later rounds resolve at full precision, the
-        # same way masked cases are.
-        z[z < np.finfo(np.float64).tiny] = 0.0
-        fitness = np.where(survivors[active], z @ class_errors.T, np.inf)
-        tied = fitness == fitness.min(axis=1, keepdims=True)
-        survivors[active] = tied
-        contested = tied.sum(axis=1) > 1
-        if not contested.any():
-            break
-        sub = active[contested]
-        dropped = _agreed_cases(survivors[sub], class_errors) & usable[sub]
-        usable[sub] &= ~dropped
+    slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
+    fitness = _flushed_softmax(scores) @ class_errors.T
+    tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
+    contested = np.flatnonzero(tied.sum(axis=1) > 1)
+    if contested.size == 0:
+        return tied
+    survivors = tied[contested]
+    usable = np.ones((contested.size, scores.shape[1]), dtype=bool)
+    live = np.arange(contested.size)
+    while live.size:
+        dropped = _agreed_cases(survivors[live], class_errors) & usable[live]
+        usable[live] &= ~dropped
         # Events keep cascading only while the round removed something
         # and a case is left to weigh.  Running out of cases means the
         # tied classes have identical error rows (duplicates kept as
         # separate classes), a genuine tie.
-        active = sub[dropped.any(axis=1) & usable[sub].any(axis=1)]
-        if active.size == 0:
+        live = live[dropped.any(axis=1) & usable[live].any(axis=1)]
+        if live.size == 0:
             break
-    return _uniform_pick_from_mask(survivors, gen)
+        z = _flushed_softmax(np.where(usable[live], scores[contested[live]], -np.inf))
+        fitness = np.where(survivors[live], z @ class_errors.T, np.inf)
+        marked = fitness <= fitness.min(axis=1, keepdims=True) * slack
+        survivors[live] = marked
+        live = live[marked.sum(axis=1) > 1]
+    tied[contested] = survivors
+    return tied
+
+
+def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
+    """Shift each case so its best class sits at zero.
+
+    The shift adds the same constant to every class's fitness within an
+    event, so the argmin is unchanged, but classes tied at a case's
+    minimum now contribute nothing there and fewer cascade rounds are
+    needed to separate the rest.  When some case's range overflows, all
+    errors are first scaled by 0.25, a power of two that keeps the order
+    of every weighted sum.
+    """
+    low = class_errors.min(axis=0)
+    with np.errstate(over="ignore"):
+        spread = class_errors.max(axis=0) - low
+    if not np.isfinite(spread).all():
+        class_errors = class_errors * 0.25
+        low = low * 0.25
+    return class_errors - low
 
 
 def dalex_select(
@@ -377,11 +437,15 @@ def dalex_select(
     ``(n_events, m)``); by default scores come from
     :func:`sample_importance`.
 
-    With full support, aggregation runs through a tie-resolving cascade
-    (:func:`_cascaded_argmin`) so that high pressure yields the
-    lexicographic order the weights encode instead of float64 round-off
-    noise.  Partial support keeps the single-pass computation: dividing
-    by per-class support mass leaves no exact cancellation to exploit.
+    Events run in blocks (:data:`_BLOCK_ENTRIES`), so memory grows with
+    the block size times k, not with ``n_events``; the scores and one
+    tie-break uniform per event are drawn up front, so each event's pick
+    does not depend on how many events run with it.  With full support,
+    aggregation runs through a tie-resolving cascade (:func:`_cascade`)
+    so that high pressure yields the lexicographic order the weights
+    encode instead of float64 round-off noise.  Partial support keeps the
+    single-pass computation: dividing by per-class support mass leaves no
+    exact cancellation to exploit.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
@@ -397,23 +461,25 @@ def dalex_select(
                 f"importance shape {importance.shape} does not match "
                 f"({n_events}, {classing.m})"
             )
-    gen = rng.generator(TIEBREAK_STREAM)
-    if classing.full_support:
-        # Shift each case so its best class sits at zero.  The shift adds
-        # the same constant to every class's fitness within an event, so
-        # the argmin is unchanged, but classes tied at a case's minimum
-        # now contribute nothing there and fewer cascade rounds are
-        # needed to separate the rest.
-        class_errors = class_errors - class_errors.min(axis=0, keepdims=True)
-        return _cascaded_argmin(importance, class_errors, gen)
-    if class_errors is not classing.class_errors:
+    u = rng.generator(TIEBREAK_STREAM).random(n_events)
+    full_support = classing.full_support
+    if full_support:
+        class_errors = _shifted_errors(class_errors)
+    elif class_errors is not classing.class_errors:
         classing = EquivalenceClassing(
             class_errors=class_errors,
             class_support=classing.class_support,
             members=classing.members,
         )
-    fitness = weighted_fitness(classing, softmax_rows(importance))
-    return _argmin_uniform_ties(fitness, gen)
+    picks = np.empty(n_events, dtype=np.intp)
+    for lo, hi in _event_blocks(n_events, classing.k):
+        if full_support:
+            marked = _cascade(importance[lo:hi], class_errors)
+        else:
+            fitness = weighted_fitness(classing, softmax_rows(importance[lo:hi]))
+            marked = fitness == fitness.min(axis=1, keepdims=True)
+        picks[lo:hi] = _pick_marked(marked, u[lo:hi])
+    return picks
 
 
 def _finish_event(

@@ -1,6 +1,8 @@
 """Tests for the selection methods and their shared plumbing."""
 
 import statistics
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from lexsel import (
     RandomSource,
     SelectorConfig,
+    SyntheticProblem,
     batch_lexicase_select,
     build_classes,
     config_from_mapping,
@@ -18,12 +21,14 @@ from lexsel import (
     exact_epsilon_lexicase_probs,
     exact_lexicase_probs,
     lexicase_select,
+    run_evolution,
     sample_importance,
     select_parents,
     singleton_classes,
     softmax_rows,
     weighted_fitness,
 )
+from lexsel import selectors
 from lexsel.core import EVENT_STREAM
 from lexsel.exceptions import ConfigError, ShapeError
 
@@ -285,6 +290,76 @@ class TestDalexSelect:
         a = dalex_select(classing, 100, self.cfg(), RandomSource(9))
         b = dalex_select(classing, 100, self.cfg(), RandomSource(9))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["full", "partial", "relaxed"])
+    def test_leading_picks_do_not_depend_on_event_count(self, variant):
+        # About 2000 classes make the block size B small enough to cross
+        # several block boundaries; importance rows and tie-break uniforms
+        # are prefix-stable draws, so the first picks must not move.
+        rng = np.random.default_rng(15)
+        errors = rng.integers(0, 4, (2000, 12)).astype(float)
+        support = None
+        if variant == "partial":
+            support = (rng.random(errors.shape) < 0.6).astype(float)
+            support[:, 0] = 1.0
+            errors *= support
+        classing = build_classes(errors, support)
+        assert classing.full_support == (variant != "partial")
+        cfg = self.cfg(pressure=200.0, relaxed=variant == "relaxed")
+        block = max(2, selectors._BLOCK_ENTRIES // classing.k)
+        lead = [
+            dalex_select(classing, n, cfg, RandomSource(16))[:2]
+            for n in (2, block - 1, block, block + 1, 3 * block + 2)
+        ]
+        for picks in lead[1:]:
+            np.testing.assert_array_equal(picks, lead[0])
+
+    def test_peak_memory_grows_with_block_not_event_count(self):
+        rng = np.random.default_rng(17)
+        classing = build_classes(rng.integers(0, 6, (1000, 20)).astype(float))
+        assert classing.k == 1000
+        n_events = 8000
+        tracemalloc.start()
+        try:
+            dalex_select(classing, n_events, self.cfg(pressure=200.0), RandomSource(18))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (n_events, k) float64 array is 64 MB; a block's temporaries
+        # come to about 15 MB, where a whole-batch kernel needs 148 MB.
+        assert peak < n_events * classing.k * 8 / 3
+
+    def test_pick_never_dominated_under_one_ulp_rounding(self):
+        # In generation 4 of this run two classes differ only on cases
+        # weighted below float resolution, and the batched product used
+        # to round the dominated one a single ulp lower.
+        dominated = []
+
+        def observe(t, classing, parents):
+            E = classing.class_errors
+            for c in np.unique(classing.class_of()[parents]):
+                if ((E <= E[c]).all(axis=1) & (E != E[c]).any(axis=1)).any():
+                    dominated.append((t, int(c)))
+
+        problem = SyntheticProblem("discrete_vector", m=200, seed=31)
+        run_evolution(
+            problem, self.cfg(pressure=200.0), 1000, 5, RandomSource(31),
+            on_generation=observe,
+        )
+        assert dominated == []
+
+    def test_extreme_finite_errors_do_not_overflow(self):
+        # Ranges of 2e308 overflow a plain per-case shift; exact lexicase
+        # gives [0.5, 0.5, 0].
+        classing = build_classes(
+            [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [1e308, 1e308, 1e308]]
+        )
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            picks = dalex_select(classing, 4000, self.cfg(pressure=200.0), RandomSource(19))
+        freqs = np.bincount(picks, minlength=3) / picks.size
+        assert freqs[2] == 0.0
+        np.testing.assert_allclose(freqs[:2], 0.5, atol=0.03)
 
 
 class TestLexicaseSelect:
