@@ -40,16 +40,16 @@ from .metrics import js_divergence
 from .oracle import (
     MAX_ORACLE_CASES,
     MAX_ORACLE_CLASSES,
+    _fits_guard,
+    _method_distribution,
     distribution_over_individuals,
     empirical_distribution,
-    exact_epsilon_lexicase_probs,
-    exact_lexicase_probs,
 )
 from .selectors import (
     IMPORTANCE_DISTRIBUTIONS,
     SelectorConfig,
+    _parse_typed,
     config_from_mapping,
-    epsilon_for_cases,
     select_classes,
 )
 
@@ -123,30 +123,20 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _oracle_sized(classing) -> bool:
-    return classing.m <= MAX_ORACLE_CASES and classing.k <= MAX_ORACLE_CLASSES
-
-
 def cmd_compare(args) -> int:
     errors, support = _load_matrices(args.errors, args.support)
     rng = RandomSource(args.seed)
     classing = build_classes(errors, support)
 
-    if _oracle_sized(classing):
-        reference = exact_lexicase_probs(classing)
-        ref_mode = "exact"
-    elif args.allow_empirical_reference:
-        picks = select_classes(
-            classing, args.samples, SelectorConfig("lexicase"), rng.child(0)
-        )
-        reference = empirical_distribution(picks, classing.k)
-        ref_mode = "empirical"
-    else:
+    if not (_fits_guard(classing) or args.allow_empirical_reference):
         raise InstanceTooLargeError(
             f"instance exceeds the exact-oracle guard (m <= {MAX_ORACLE_CASES}, "
             f"k <= {MAX_ORACLE_CLASSES}); pass --allow-empirical-reference to "
             "compare against sampled lexicase instead"
         )
+    reference = _method_distribution(
+        classing, SelectorConfig("lexicase"), rng.child(0), args.samples
+    )
     p_ind = distribution_over_individuals(classing, reference)
 
     lineage = args.lineage_id
@@ -161,16 +151,9 @@ def cmd_compare(args) -> int:
     per_method = {}
     for j, name in enumerate(methods):
         cfg = _config_from_args(args, name)
-        if _oracle_sized(classing) and name == "lexicase":
-            dist, mode = exact_lexicase_probs(classing), "exact"
-        elif _oracle_sized(classing) and name == "epsilon_lexicase":
-            dist = exact_epsilon_lexicase_probs(classing, epsilon_for_cases(classing))
-            mode = "exact"
-        else:
-            picks = select_classes(classing, args.samples, cfg, rng.child(1, j))
-            dist, mode = empirical_distribution(picks, classing.k), "empirical"
+        dist = _method_distribution(classing, cfg, rng.child(1, j), args.samples)
         q_ind = distribution_over_individuals(classing, dist)
-        entry = {"mode": mode, "js_divergence": js_divergence(q_ind, p_ind)}
+        entry = {"mode": dist.kind, "js_divergence": js_divergence(q_ind, p_ind)}
         if lineage is not None:
             p = float(p_ind[lineage])
             entry["probability_ratio"] = (
@@ -179,7 +162,7 @@ def cmd_compare(args) -> int:
         per_method[name] = entry
 
     payload = {
-        "reference": {"method": "lexicase", "mode": ref_mode},
+        "reference": {"method": "lexicase", "mode": reference.kind},
         "seed": args.seed,
         "samples": args.samples,
         "lineage_id": lineage,
@@ -244,16 +227,6 @@ _RUN_KEYS = (
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict[str, str]:
     return dict(parser[name]) if parser.has_section(name) else {}
-
-
-def _parse_typed(section: dict[str, str], key: str, conv, default):
-    if key not in section:
-        return default
-    raw = section[key].strip()
-    try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: could not parse value {raw!r}") from None
 
 
 def _problem_from_section(section: dict[str, str]) -> SyntheticProblem:

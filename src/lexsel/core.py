@@ -16,6 +16,7 @@ distinct rows without changing any selection distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,9 @@ class EquivalenceClassing:
 
     ``class_errors`` and ``class_support`` have one row per class in
     first-occurrence order; ``members[c]`` lists the individual indices
-    collapsed into class ``c``.
+    collapsed into class ``c``.  ``sizes`` and ``full_support`` are
+    computed on first access and cached; ``sizes`` is read-only because
+    every caller shares it.
     """
 
     class_errors: np.ndarray
@@ -160,11 +163,13 @@ class EquivalenceClassing:
     def n(self) -> int:
         return sum(len(g) for g in self.members)
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.array([len(g) for g in self.members], dtype=np.int64)
+        sizes = np.array([len(g) for g in self.members], dtype=np.int64)
+        sizes.flags.writeable = False
+        return sizes
 
-    @property
+    @cached_property
     def full_support(self) -> bool:
         return bool((self.class_support == 1.0).all())
 
@@ -241,6 +246,12 @@ def expand_class_selection(
     return flat[starts[picks] + offsets]
 
 
+def _moments(E: np.ndarray, w: np.ndarray, total: float):
+    """Per-column weighted mean and population standard deviation."""
+    mean = (w @ E) / total
+    return mean, np.sqrt((w @ (E - mean) ** 2) / total)
+
+
 def standardize_per_case(errors, multiplicities=None) -> np.ndarray:
     """Shift and scale each case column to mean 0 and population std 1.
 
@@ -260,8 +271,15 @@ def standardize_per_case(errors, multiplicities=None) -> np.ndarray:
             raise ShapeError("multiplicities must be positive integers")
 
     total = w.sum()
-    mean = (w @ E) / total
-    std = np.sqrt((w @ (E - mean) ** 2) / total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = _moments(E, w, total)
+    wide = ~(np.isfinite(mean) & np.isfinite(std))
+    if wide.any():
+        # Errors near the float limit overflow the weighted sum or the
+        # squares.  Scaling such a column of the fresh copy by a power of
+        # two is exact, and the standardized values do not depend on it.
+        E[:, wide] *= 2.0**-600
+        mean, std = _moments(E, w, total)
     constant = (E == E[0]).all(axis=0) | (std == 0.0)
     out = (E - mean) / np.where(constant, 1.0, std)
     out[:, constant] = 0.0

@@ -33,16 +33,8 @@ from .core import (
 )
 from .exceptions import ConfigError, ShapeError
 from .metrics import FidelityReport, js_divergence
-from .oracle import (
-    MAX_ORACLE_CASES,
-    MAX_ORACLE_CLASSES,
-    SelectionDistribution,
-    distribution_over_individuals,
-    empirical_distribution,
-    exact_epsilon_lexicase_probs,
-    exact_lexicase_probs,
-)
-from .selectors import SelectorConfig, epsilon_for_cases, select_classes
+from .oracle import _method_distribution, distribution_over_individuals
+from .selectors import SelectorConfig, select_classes
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -380,23 +372,6 @@ def run_evolution(
         success=success_generation is not None,
         success_generation=success_generation,
     )
-
-
-def _method_distribution(
-    classing: EquivalenceClassing,
-    cfg: SelectorConfig,
-    rng: RandomSource,
-    n_samples: int,
-) -> SelectionDistribution:
-    """Exact distribution when an oracle covers the method and the
-    instance is guard-sized; empirical sampling otherwise."""
-    guarded = classing.m <= MAX_ORACLE_CASES and classing.k <= MAX_ORACLE_CLASSES
-    if guarded and cfg.method == "lexicase":
-        return exact_lexicase_probs(classing)
-    if guarded and cfg.method == "epsilon_lexicase":
-        return exact_epsilon_lexicase_probs(classing, epsilon_for_cases(classing))
-    picks = select_classes(classing, n_samples, cfg, rng)
-    return empirical_distribution(picks, classing.k)
 
 
 def fidelity_trace(

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EquivalenceClassing
+from .core import EquivalenceClassing, RandomSource
 from .exceptions import InstanceTooLargeError, ShapeError
+from .selectors import SelectorConfig, epsilon_for_cases, select_classes
 
 __all__ = [
     "MAX_ORACLE_CASES",
@@ -74,8 +75,12 @@ class SelectionDistribution:
         )
 
 
+def _fits_guard(classing: EquivalenceClassing) -> bool:
+    return classing.m <= MAX_ORACLE_CASES and classing.k <= MAX_ORACLE_CLASSES
+
+
 def _check_guard(classing: EquivalenceClassing) -> None:
-    if classing.m > MAX_ORACLE_CASES or classing.k > MAX_ORACLE_CLASSES:
+    if not _fits_guard(classing):
         raise InstanceTooLargeError(
             f"exact recursion is guarded to m <= {MAX_ORACLE_CASES} cases and "
             f"k <= {MAX_ORACLE_CLASSES} classes, got m={classing.m}, k={classing.k}"
@@ -191,6 +196,22 @@ def empirical_distribution(picks, n_classes: int) -> SelectionDistribution:
     return SelectionDistribution(
         probs=counts / arr.size, kind="empirical", n_samples=arr.size
     )
+
+
+def _method_distribution(
+    classing: EquivalenceClassing,
+    cfg: SelectorConfig,
+    rng: RandomSource,
+    n_samples: int,
+) -> SelectionDistribution:
+    """Exact distribution when an oracle covers the method and the
+    instance fits the guard; ``n_samples`` sampled events otherwise."""
+    if _fits_guard(classing) and cfg.method == "lexicase":
+        return exact_lexicase_probs(classing)
+    if _fits_guard(classing) and cfg.method == "epsilon_lexicase":
+        return exact_epsilon_lexicase_probs(classing, epsilon_for_cases(classing))
+    picks = select_classes(classing, n_samples, cfg, rng)
+    return empirical_distribution(picks, classing.k)
 
 
 def distribution_over_individuals(

@@ -16,6 +16,8 @@ one matrix product.
 
 ``lexicase``, ``epsilon_lexicase``, and ``batch_lexicase`` are the
 classic iterative filters, kept both as references and as baselines.
+They run one filter that differs between them only in the batch size
+and the survival tolerance.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
+def _parse_typed(mapping: Mapping[str, str], key: str, conv, default):
+    """Convert ``mapping[key]``, stripped, with ``conv``; ``default`` when
+    the key is absent.  A value ``conv`` rejects raises
+    :class:`ConfigError` naming the key."""
+    if key not in mapping:
+        return default
+    raw = str(mapping[key]).strip()
+    try:
+        return conv(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: could not parse value {raw!r}") from None
+
+
 def config_from_mapping(mapping: Mapping[str, str]) -> tuple[SelectorConfig, int | None]:
     """Build a config (plus optional seed) from flat string key-values.
 
@@ -150,15 +165,6 @@ def config_from_mapping(mapping: Mapping[str, str]) -> tuple[SelectorConfig, int
     if "method" not in mapping:
         raise ConfigError("method: required config key is missing")
 
-    def parse(key, conv, default):
-        if key not in mapping:
-            return default
-        raw = str(mapping[key]).strip()
-        try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: could not parse value {raw!r}") from None
-
     def parse_bool(raw: str) -> bool:
         word = raw.lower()
         if word in _TRUE_WORDS:
@@ -169,14 +175,14 @@ def config_from_mapping(mapping: Mapping[str, str]) -> tuple[SelectorConfig, int
 
     cfg = SelectorConfig(
         method=str(mapping["method"]).strip(),
-        pressure=parse("pressure", float, 20.0),
-        distribution=parse("distribution", str, "normal"),
-        relaxed=parse("relaxed", parse_bool, False),
-        batch_size=parse("batch_size", int, 1),
-        batch_threshold_mode=parse("batch_threshold_mode", str, "mad"),
-        batch_threshold_value=parse("batch_threshold_value", float, 0.0),
+        pressure=_parse_typed(mapping, "pressure", float, 20.0),
+        distribution=_parse_typed(mapping, "distribution", str, "normal"),
+        relaxed=_parse_typed(mapping, "relaxed", parse_bool, False),
+        batch_size=_parse_typed(mapping, "batch_size", int, 1),
+        batch_threshold_mode=_parse_typed(mapping, "batch_threshold_mode", str, "mad"),
+        batch_threshold_value=_parse_typed(mapping, "batch_threshold_value", float, 0.0),
     )
-    seed = parse("seed", int, None)
+    seed = _parse_typed(mapping, "seed", int, None)
     if seed is not None and seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
     return cfg, seed
@@ -501,29 +507,57 @@ def _survivors_for_order(
     errors: np.ndarray,
     support: np.ndarray | None,
     order: np.ndarray,
-    epsilons: np.ndarray | None = None,
+    tolerance: float | np.ndarray | str | None = None,
+    batch_size: int = 1,
+    sizes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Filter classes case by case in the given order; return survivors.
+    """Filter classes batch by batch in the given case order; return survivors.
 
-    Each case keeps the classes whose error is within ``epsilons`` of
-    the minimum among the classes still in the running (zero tolerance
-    when ``epsilons`` is None).  A case on which no survivor is defined
-    is skipped; classes undefined on a case are never elite on it.
+    ``order`` is walked in consecutive batches of ``batch_size`` cases,
+    the last possibly smaller.  A class's score on a batch is its mean
+    error over the batch cases it is defined on.  A batch on which no
+    survivor is defined is skipped; otherwise it keeps the defined
+    classes whose score is within a tolerance of the least score among
+    the classes still in the running.  The tolerance is
+
+    * ``None``: zero, so one-case batches give lexicase;
+    * an (m,) array: the tolerance of the batch's case, for one-case
+      batches (epsilon-lexicase);
+    * a number: that fixed value;
+    * ``"mad"``: the median absolute deviation of the defined survivors'
+      scores, each counted once per member (``sizes``).
     """
     alive = np.arange(errors.shape[0])
-    for c in order:
+    for start in range(0, order.size, batch_size):
         if alive.size == 1:
             break
-        col = errors[alive, c]
-        if support is not None:
-            defined = support[alive, c]
+        if batch_size == 1:
+            # The mean over one case is its error: read the column, which
+            # costs far less than gathering a block when filters run deep.
+            case = order[start]
+            scores = errors[alive, case]
+            defined = None if support is None else support[alive, case]
+        else:
+            case = order[start : start + batch_size]
+            # Undefined entries are exactly zero, so the sum needs no mask.
+            scores = errors[np.ix_(alive, case)].sum(axis=1)
+            counts = case.size if support is None else support[np.ix_(alive, case)].sum(axis=1)
+            scores /= np.maximum(counts, 1)
+            defined = None if support is None else counts > 0
+        if defined is not None:
             if not defined.any():
                 continue
-            col = np.where(defined, col, np.inf)
-        threshold = col.min()
-        if epsilons is not None:
-            threshold += epsilons[c]
-        alive = alive[col <= threshold]
+            scores = np.where(defined, scores, np.inf)
+        threshold = scores.min()
+        if isinstance(tolerance, np.ndarray):
+            threshold += tolerance[case]
+        elif tolerance == "mad":
+            weights = sizes[alive] if defined is None else sizes[alive] * defined
+            reps = np.repeat(scores, weights)
+            threshold += np.median(np.abs(reps - np.median(reps)))
+        elif tolerance is not None:
+            threshold += tolerance
+        alive = alive[scores <= threshold]
     return alive
 
 
@@ -537,15 +571,22 @@ def lexicase_select(
     wins; if the cases run out first, the winner is drawn uniformly over
     the surviving individuals.
     """
-    return _iterative_select(classing, n_events, rng, epsilons=None)
+    return _filter_events(classing, n_events, rng)
 
 
-def _iterative_select(
+def _filter_events(
     classing: EquivalenceClassing,
     n_events: int,
     rng: RandomSource,
-    epsilons: np.ndarray | None,
+    tolerance: float | np.ndarray | str | None = None,
+    batch_size: int = 1,
 ) -> np.ndarray:
+    """Run ``n_events`` lexicase-family events, one at a time.
+
+    Event i draws a uniform case order from stream ``(EVENT_STREAM, i)``,
+    filters the classes with :func:`_survivors_for_order`, and resolves
+    any remaining tie with :func:`_finish_event` on the same stream.
+    """
     if n_events < 1:
         raise ShapeError(f"need n_events >= 1, got {n_events}")
     errors = classing.class_errors
@@ -555,7 +596,7 @@ def _iterative_select(
     for i in range(n_events):
         gen = rng.generator(EVENT_STREAM, i)
         order = gen.permutation(classing.m)
-        alive = _survivors_for_order(errors, support, order, epsilons)
+        alive = _survivors_for_order(errors, support, order, tolerance, batch_size, sizes)
         out[i] = _finish_event(alive, sizes, gen)
     return out
 
@@ -596,7 +637,7 @@ def epsilon_lexicase_select(
             )
         if not np.isfinite(epsilons).all() or (epsilons < 0).any():
             raise ShapeError("epsilons must be finite and >= 0")
-    return _iterative_select(classing, n_events, rng, epsilons=epsilons)
+    return _filter_events(classing, n_events, rng, tolerance=epsilons)
 
 
 def batch_lexicase_select(
@@ -609,59 +650,20 @@ def batch_lexicase_select(
 
     Each event shuffles the cases and partitions them into consecutive
     batches of ``cfg.batch_size`` (the last batch may be smaller; sizes
-    above m are clamped to m).  A class's score on a batch is its mean
-    error over the batch cases it is defined on; classes defined on no
-    case in the batch are skipped past only if every survivor is.  A
-    batch keeps the classes within a threshold of the minimum score:
-    ``mad`` mode uses the median absolute deviation of the survivors'
-    batch means, ``absolute`` mode a fixed value.  Batch size 1 with a
-    zero absolute threshold reproduces plain lexicase.
+    above m give one batch of every case).  A class's score on a batch
+    is its mean error over the batch cases it is defined on; classes
+    defined on no case in the batch are skipped past only if every
+    survivor is.  A batch keeps the classes within a threshold of the
+    minimum score: ``mad`` mode uses the median absolute deviation of
+    the survivors' batch means, ``absolute`` mode a fixed value.  Batch
+    size 1 with a zero absolute threshold reproduces plain lexicase.
     """
     if cfg.method != "batch_lexicase":
         raise ConfigError(
             f"method: batch_lexicase_select called with method {cfg.method!r}"
         )
-    if n_events < 1:
-        raise ShapeError(f"need n_events >= 1, got {n_events}")
-    errors = classing.class_errors
-    full = classing.full_support
-    support = classing.class_support
-    sizes = classing.sizes
-    m = classing.m
-    b = min(cfg.batch_size, m)
-    absolute = cfg.batch_threshold_mode == "absolute"
-    out = np.empty(n_events, dtype=np.int64)
-    for i in range(n_events):
-        gen = rng.generator(EVENT_STREAM, i)
-        order = gen.permutation(m)
-        alive = np.arange(classing.k)
-        for start in range(0, m, b):
-            if alive.size == 1:
-                break
-            batch = order[start : start + b]
-            sub = errors[np.ix_(alive, batch)]
-            if full:
-                means = sub.mean(axis=1)
-                defined = None
-            else:
-                cover = support[np.ix_(alive, batch)]
-                counts = cover.sum(axis=1)
-                defined = counts > 0
-                if not defined.any():
-                    continue
-                means = np.where(
-                    defined, (sub * cover).sum(axis=1) / np.maximum(counts, 1), np.inf
-                )
-            if absolute:
-                tau = cfg.batch_threshold_value
-            else:
-                vals = means if defined is None else means[defined]
-                weights = sizes[alive] if defined is None else sizes[alive][defined]
-                reps = np.repeat(vals, weights)
-                tau = np.median(np.abs(reps - np.median(reps)))
-            alive = alive[means <= means.min() + tau]
-        out[i] = _finish_event(alive, sizes, gen)
-    return out
+    tolerance = "mad" if cfg.batch_threshold_mode == "mad" else cfg.batch_threshold_value
+    return _filter_events(classing, n_events, rng, tolerance, cfg.batch_size)
 
 
 def select_classes(

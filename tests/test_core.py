@@ -84,6 +84,12 @@ class TestBuildClasses:
         np.testing.assert_array_equal(classing.class_errors, [[0, 1], [2, 3]])
         np.testing.assert_array_equal(classing.sizes, [2, 1])
 
+    def test_sizes_and_support_flag_are_cached(self):
+        classing = build_classes([[0, 1], [0, 1], [2, 3]])
+        assert classing.sizes is classing.sizes
+        assert not classing.sizes.flags.writeable
+        assert classing.full_support is True
+
     def test_first_occurrence_order(self):
         classing = build_classes([[5.0], [1.0], [5.0], [3.0]])
         np.testing.assert_array_equal(classing.class_errors.ravel(), [5.0, 1.0, 3.0])
@@ -196,6 +202,14 @@ class TestStandardizePerCase:
     def test_idempotent(self):
         z = standardize_per_case(np.random.default_rng(1).random((20, 5)))
         np.testing.assert_allclose(standardize_per_case(z), z, atol=1e-12)
+
+    def test_extreme_finite_columns_scale_exactly(self):
+        # Moments of errors near +-1e308 overflow; a power-of-two scale
+        # must give the same standardized values as the unscaled rows.
+        rows = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.5, 2.0, 3.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            huge = standardize_per_case(rows * 2.0**1021, [2, 1, 1, 3])
+        np.testing.assert_array_equal(huge, standardize_per_case(rows, [2, 1, 1, 3]))
 
     def test_bad_multiplicities(self):
         with pytest.raises(ShapeError):

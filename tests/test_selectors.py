@@ -348,15 +348,17 @@ class TestDalexSelect:
         )
         assert dominated == []
 
-    def test_extreme_finite_errors_do_not_overflow(self):
-        # Ranges of 2e308 overflow a plain per-case shift; exact lexicase
-        # gives [0.5, 0.5, 0].
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+    def test_extreme_finite_errors_do_not_overflow(self, relaxed):
+        # Ranges of 2e308 overflow a plain per-case shift and the moments
+        # of the relaxed standardization; exact lexicase gives [0.5, 0.5, 0].
         classing = build_classes(
             [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [1e308, 1e308, 1e308]]
         )
+        cfg = self.cfg(pressure=200.0, relaxed=relaxed)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            picks = dalex_select(classing, 4000, self.cfg(pressure=200.0), RandomSource(19))
+            picks = dalex_select(classing, 4000, cfg, RandomSource(19))
         freqs = np.bincount(picks, minlength=3) / picks.size
         assert freqs[2] == 0.0
         np.testing.assert_allclose(freqs[:2], 0.5, atol=0.03)
@@ -452,11 +454,13 @@ class TestEpsilonLexicase:
             epsilon_lexicase_select(classing, 1, RandomSource(0), epsilons=[-1.0, 0.0])
 
 
-def replay_batch_event(classing, cfg, gen):
+def replay_batch_event(classing, cfg, gen, epsilons=None):
     """Scalar reimplementation of one batch selection event.
 
     Consumes the generator exactly like the vectorized version: one
     permutation up front, one uniform only if several classes survive.
+    ``epsilons`` replaces the batch threshold with a per-case tolerance
+    (one-case batches), which is epsilon-lexicase.
     """
     m = classing.m
     b = min(cfg.batch_size, m)
@@ -474,7 +478,9 @@ def replay_batch_event(classing, cfg, gen):
         if not means:
             continue
         best = min(means.values())
-        if cfg.batch_threshold_mode == "absolute":
+        if epsilons is not None:
+            (tau,) = [epsilons[t] for t in batch]
+        elif cfg.batch_threshold_mode == "absolute":
             tau = cfg.batch_threshold_value
         else:
             spread = []
@@ -494,6 +500,20 @@ def replay_batch_event(classing, cfg, gen):
         if acc > u * total:
             return c
     return alive[-1]
+
+
+def assert_matches_replay(classing, cfg, src, n_events=200):
+    """Picks of ``cfg``'s selector equal the scalar replay of every event."""
+    epsilons = None
+    if cfg.method == "epsilon_lexicase":
+        epsilons = epsilon_for_cases(classing)
+        assert (epsilons > 0).any()
+    picks = selectors.select_classes(classing, n_events, cfg, src)
+    expected = [
+        replay_batch_event(classing, cfg, src.generator(EVENT_STREAM, i), epsilons)
+        for i in range(n_events)
+    ]
+    np.testing.assert_array_equal(picks, expected)
 
 
 class TestBatchLexicase:
@@ -519,41 +539,44 @@ class TestBatchLexicase:
         assert abs(picks.mean() - 0.5) < 0.01
 
     @pytest.mark.parametrize(
-        "mode, value, batch_size",
-        [("absolute", 0.0, 2), ("absolute", 0.5, 3), ("mad", 0.0, 2), ("mad", 0.0, 4)],
+        "method, mode, value, batch_size, errors",
+        [
+            ("batch_lexicase", "absolute", 0.0, 2, "integer"),
+            ("batch_lexicase", "absolute", 0.5, 3, "integer"),
+            ("batch_lexicase", "mad", 0.0, 2, "integer"),
+            ("batch_lexicase", "mad", 0.0, 4, "integer"),
+            ("batch_lexicase", "mad", 0.0, 3, "continuous"),
+            ("epsilon_lexicase", "mad", 0.0, 1, "integer"),
+        ],
     )
-    def test_matches_scalar_replay(self, mode, value, batch_size):
+    def test_matches_scalar_replay(self, method, mode, value, batch_size, errors):
         rng = np.random.default_rng(31)
-        errors = rng.integers(0, 4, (9, 7)).astype(float)
-        classing = build_classes(errors)
+        if errors == "integer":
+            matrix = rng.integers(0, 4, (9, 7)).astype(float)
+        else:
+            matrix = rng.random((9, 7)) * 3.0
         cfg = SelectorConfig(
-            method="batch_lexicase",
+            method=method,
             batch_size=batch_size,
             batch_threshold_mode=mode,
             batch_threshold_value=value,
         )
-        src = RandomSource(10)
-        picks = batch_lexicase_select(classing, 200, cfg, src)
-        expected = [
-            replay_batch_event(classing, cfg, src.generator(EVENT_STREAM, i))
-            for i in range(200)
-        ]
-        np.testing.assert_array_equal(picks, expected)
+        assert_matches_replay(build_classes(matrix), cfg, RandomSource(10))
 
-    def test_partial_support_matches_scalar_replay(self):
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SelectorConfig(method="batch_lexicase", batch_size=2),
+            SelectorConfig(method="epsilon_lexicase"),
+        ],
+        ids=["batch_lexicase", "epsilon_lexicase"],
+    )
+    def test_partial_support_matches_scalar_replay(self, cfg):
         rng = np.random.default_rng(32)
         support = (rng.random((8, 6)) < 0.5).astype(float)
         support[~support.any(axis=1), 0] = 1.0
         errors = rng.integers(0, 4, (8, 6)).astype(float) * support
-        classing = build_classes(errors, support)
-        cfg = SelectorConfig(method="batch_lexicase", batch_size=2)
-        src = RandomSource(11)
-        picks = batch_lexicase_select(classing, 200, cfg, src)
-        expected = [
-            replay_batch_event(classing, cfg, src.generator(EVENT_STREAM, i))
-            for i in range(200)
-        ]
-        np.testing.assert_array_equal(picks, expected)
+        assert_matches_replay(build_classes(errors, support), cfg, RandomSource(11))
 
     def test_oversized_batch_clamps_to_single_batch(self):
         # one batch holding every case scores classes by their plain
