@@ -348,20 +348,24 @@ class TestDalexSelect:
         )
         assert dominated == []
 
-    @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
-    def test_extreme_finite_errors_do_not_overflow(self, relaxed):
+    def assert_extreme_errors_split(self, cfg):
         # Ranges of 2e308 overflow a plain per-case shift and the moments
         # of the relaxed standardization; exact lexicase gives [0.5, 0.5, 0].
         classing = build_classes(
             [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [1e308, 1e308, 1e308]]
         )
-        cfg = self.cfg(pressure=200.0, relaxed=relaxed)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
             picks = dalex_select(classing, 4000, cfg, RandomSource(19))
         freqs = np.bincount(picks, minlength=3) / picks.size
         assert freqs[2] == 0.0
         np.testing.assert_allclose(freqs[:2], 0.5, atol=0.03)
+
+    def test_extreme_finite_errors_do_not_overflow(self):
+        self.assert_extreme_errors_split(self.cfg(pressure=200.0))
+
+    def test_relaxed_extreme_finite_errors_do_not_overflow(self):
+        self.assert_extreme_errors_split(self.cfg(pressure=200.0, relaxed=True))
 
 
 class TestLexicaseSelect:
@@ -538,45 +542,54 @@ class TestBatchLexicase:
         picks = batch_lexicase_select(classing, 50_000, cfg, RandomSource(9))
         assert abs(picks.mean() - 0.5) < 0.01
 
-    @pytest.mark.parametrize(
-        "method, mode, value, batch_size, errors",
-        [
-            ("batch_lexicase", "absolute", 0.0, 2, "integer"),
-            ("batch_lexicase", "absolute", 0.5, 3, "integer"),
-            ("batch_lexicase", "mad", 0.0, 2, "integer"),
-            ("batch_lexicase", "mad", 0.0, 4, "integer"),
-            ("batch_lexicase", "mad", 0.0, 3, "continuous"),
-            ("epsilon_lexicase", "mad", 0.0, 1, "integer"),
-        ],
-    )
-    def test_matches_scalar_replay(self, method, mode, value, batch_size, errors):
+    @staticmethod
+    def replay_matrix(errors):
         rng = np.random.default_rng(31)
         if errors == "integer":
-            matrix = rng.integers(0, 4, (9, 7)).astype(float)
-        else:
-            matrix = rng.random((9, 7)) * 3.0
-        cfg = SelectorConfig(
-            method=method,
-            batch_size=batch_size,
-            batch_threshold_mode=mode,
-            batch_threshold_value=value,
-        )
-        assert_matches_replay(build_classes(matrix), cfg, RandomSource(10))
+            return rng.integers(0, 4, (9, 7)).astype(float)
+        return rng.random((9, 7)) * 3.0
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SelectorConfig(method="batch_lexicase", batch_size=2),
-            SelectorConfig(method="epsilon_lexicase"),
-        ],
-        ids=["batch_lexicase", "epsilon_lexicase"],
-    )
-    def test_partial_support_matches_scalar_replay(self, cfg):
+    @staticmethod
+    def partial_support_classing():
         rng = np.random.default_rng(32)
         support = (rng.random((8, 6)) < 0.5).astype(float)
         support[~support.any(axis=1), 0] = 1.0
         errors = rng.integers(0, 4, (8, 6)).astype(float) * support
-        assert_matches_replay(build_classes(errors, support), cfg, RandomSource(11))
+        return build_classes(errors, support)
+
+    @pytest.mark.parametrize(
+        "mode, value, batch_size",
+        [("absolute", 0.0, 2), ("absolute", 0.5, 3), ("mad", 0.0, 2), ("mad", 0.0, 4)],
+    )
+    def test_matches_scalar_replay(self, mode, value, batch_size):
+        cfg = SelectorConfig(
+            method="batch_lexicase",
+            batch_size=batch_size,
+            batch_threshold_mode=mode,
+            batch_threshold_value=value,
+        )
+        classing = build_classes(self.replay_matrix("integer"))
+        assert_matches_replay(classing, cfg, RandomSource(10))
+
+    @pytest.mark.parametrize(
+        "cfg, errors",
+        [
+            (SelectorConfig(method="batch_lexicase", batch_size=3), "continuous"),
+            (SelectorConfig(method="epsilon_lexicase"), "integer"),
+        ],
+        ids=["batch_lexicase-continuous", "epsilon_lexicase-integer"],
+    )
+    def test_filter_variants_match_scalar_replay(self, cfg, errors):
+        classing = build_classes(self.replay_matrix(errors))
+        assert_matches_replay(classing, cfg, RandomSource(10))
+
+    def test_partial_support_matches_scalar_replay(self):
+        cfg = SelectorConfig(method="batch_lexicase", batch_size=2)
+        assert_matches_replay(self.partial_support_classing(), cfg, RandomSource(11))
+
+    def test_epsilon_partial_support_matches_scalar_replay(self):
+        cfg = SelectorConfig(method="epsilon_lexicase")
+        assert_matches_replay(self.partial_support_classing(), cfg, RandomSource(11))
 
     def test_oversized_batch_clamps_to_single_batch(self):
         # one batch holding every case scores classes by their plain
