@@ -151,7 +151,10 @@ def cmd_compare(args) -> int:
     per_method = {}
     for j, name in enumerate(methods):
         cfg = _config_from_args(args, name)
-        dist = _method_distribution(classing, cfg, rng.child(1, j), args.samples)
+        if name == "lexicase" and reference.kind == "exact":
+            dist = reference
+        else:
+            dist = _method_distribution(classing, cfg, rng.child(1, j), args.samples)
         q_ind = distribution_over_individuals(classing, dist)
         entry = {"mode": dist.kind, "js_divergence": js_divergence(q_ind, p_ind)}
         if lineage is not None:

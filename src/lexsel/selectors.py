@@ -23,7 +23,8 @@ and the survival tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -334,8 +335,14 @@ def _agreed_cases(tied: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     return ~differs
 
 
+_LOG_TINY = np.log(np.finfo(np.float64).tiny)
+
+
 def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
     z = scores - scores.max(axis=1, keepdims=True)
+    # Exponents whose power underflows are flushed before ``exp``, which
+    # is slow in that range; their weights are flushed below anyway.
+    z[z < _LOG_TINY] = -np.inf
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     # Subnormal weights cost an order of magnitude in the matrix product
@@ -488,19 +495,166 @@ def dalex_select(
     return picks
 
 
-def _finish_event(
-    alive: np.ndarray, sizes: np.ndarray, gen: np.random.Generator
-) -> int:
-    """Resolve an event that still has several surviving classes.
+# The lexicase family filters (event, class) pairs in blocks of events
+# holding about this many pairs each, so its memory does not grow with
+# the event count.
+_PAIR_BUDGET = 1 << 18
 
-    The pick is weighted by class member counts so it matches a uniform
-    draw over the surviving individuals.
+
+def _segment_positions(heads: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``heads[i] : heads[i] + counts[i]``."""
+    return np.repeat(heads - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, ``np.median`` of the row with each value repeated by its
+    weight; every row needs a positive total weight.
+
+    An even total averages the two middle values as ``(a + b) / 2``,
+    exactly as ``np.median`` does.
     """
-    if alive.size == 1:
-        return int(alive[0])
-    cum = np.cumsum(sizes[alive])
-    u = gen.random() * cum[-1]
-    return int(alive[np.searchsorted(cum, u, side="right")])
+    width = values.shape[1]
+    order = np.argsort(values, axis=1)
+    order += np.arange(0, values.size, width)[:, None]
+    values = values.take(order).ravel()
+    # One running total over every row: a row's value of rank r sits at
+    # the first running total above the weight before the row, plus r.
+    cum = np.cumsum(weights.take(order))
+    ends = cum[width - 1 :: width]
+    total = np.diff(ends, prepend=0)
+    before = ends - total
+    a = values[np.searchsorted(cum, before + (total - 1) // 2, side="right")]
+    b = values[np.searchsorted(cum, before + total // 2, side="right")]
+    return np.where(total % 2 == 1, a, (a + b) / 2)
+
+
+def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per segment of ``counts`` consecutive pairs, the median absolute
+    deviation of the multiset holding each score ``weights`` times: the
+    value ``np.median`` gives on the ``np.repeat``-expanded segment.
+
+    Segments are padded to a common width with weightless ``inf``.
+    """
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.arange(scores.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    values = np.full((counts.size, counts.max()), np.inf)
+    padded = np.zeros(values.shape, dtype=np.int64)
+    values[rows, cols] = scores
+    padded[rows, cols] = weights
+    med = _weighted_median(values, padded)
+    return _weighted_median(np.abs(values - med[:, None]), padded)
+
+
+def _filter_step(
+    case_errors: np.ndarray,
+    case_support: np.ndarray | None,
+    sizes: np.ndarray,
+    tolerance: float | np.ndarray | str | None,
+    cases: np.ndarray,
+    counts: np.ndarray,
+    classes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filter one batch of cases for a set of events.
+
+    ``case_errors`` and ``case_support`` hold one row per case and one
+    column per class.  Event i holds ``counts[i]`` consecutive
+    (event, class) pairs of ``classes`` and filters on the cases of row i
+    of ``cases``.  A class's score on a batch is its mean error over the
+    batch cases it is defined on.  An event none of whose pairs is defined
+    on its batch keeps them all; otherwise it keeps the defined classes
+    whose score is within a tolerance of its least score.  The tolerance
+    is
+
+    * ``None``: zero, so one-case batches give lexicase;
+    * an (m,) array: the tolerance of the batch's case, for one-case
+      batches (epsilon-lexicase);
+    * a number: that fixed value;
+    * ``"mad"``: the median absolute deviation of the defined pairs'
+      scores, each counted once per member (``sizes``).
+
+    Returns the kept pairs' classes and the number kept per event.
+    """
+    heads = np.cumsum(counts) - counts
+    # Flat positions of each pair's entries in the case-major matrices;
+    # an event's classes ascend, so it reads each case row in order.
+    at = np.repeat(cases * case_errors.shape[1], counts, axis=0) + classes[:, None]
+    if cases.shape[1] == 1:
+        # The mean over one case is its error.
+        at = at[:, 0]
+        scores = case_errors.take(at)
+        defined = None if case_support is None else case_support.take(at)
+    else:
+        # Undefined entries are exactly zero, so the sum needs no mask.
+        scores = case_errors.take(at).sum(axis=1)
+        n_defined = cases.shape[1] if case_support is None else case_support.take(at).sum(axis=1)
+        scores /= np.maximum(n_defined, 1)
+        defined = None if case_support is None else n_defined > 0
+    if defined is not None:
+        scores[~defined] = np.inf
+    # An event with no defined pair gets an infinite threshold and skips
+    # the batch.
+    threshold = np.minimum.reduceat(scores, heads)
+    if isinstance(tolerance, np.ndarray):
+        threshold += tolerance[cases[:, 0]]
+    elif tolerance == "mad":
+        weights = sizes[classes] if defined is None else sizes[classes] * defined
+        scored = np.isfinite(threshold)
+        if scored.any():
+            pairs = np.repeat(scored, counts)
+            threshold[scored] += _segment_mad(scores[pairs], weights[pairs], counts[scored])
+    elif tolerance is not None:
+        threshold += tolerance
+    keep = scores <= np.repeat(threshold, counts)
+    return classes[keep], np.add.reduceat(keep, heads)
+
+
+def _filter_pairs(
+    step: Callable, batch_size: int, orders: np.ndarray, counts: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Filter a block of events, each holding ``counts[i]`` consecutive
+    (event, class) pairs of ``classes``, through ``step``:
+    :func:`_filter_step` bound to its matrices and tolerance.
+
+    Row i of ``orders`` is event i's case order, walked in consecutive
+    batches of ``batch_size`` cases.  An event retires once one class
+    survives.  Returns each event's lone survivor (unset for the others),
+    the events left with several classes when the cases run out, and
+    their surviving pairs as counts and classes.
+    """
+    m = orders.shape[1]
+    events = np.arange(orders.shape[0])
+    lone = np.empty(events.size, dtype=classes.dtype)
+    start = 0
+    while True:
+        settled = counts == 1
+        if settled.any():
+            lone[events[settled]] = classes[np.repeat(settled, counts)]
+            left = ~settled
+            classes = classes[np.repeat(left, counts)]
+            events, counts = events[left], counts[left]
+        if events.size == 0 or start >= m:
+            return lone, events, counts, classes
+        classes, counts = step(orders[events, start : start + batch_size], counts, classes)
+        start += batch_size
+
+
+def _finish_events(
+    counts: np.ndarray, classes: np.ndarray, sizes: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Resolve events that still have several surviving classes.
+
+    Event i, holding ``counts[i]`` consecutive classes, picks the class
+    at ``searchsorted(cum, u[i] * cum[-1], side="right")``, where ``cum``
+    is the cumulative member count of its classes: a uniform draw over
+    the surviving individuals.
+    """
+    weights = sizes[classes]
+    cum = np.cumsum(weights)
+    heads = np.cumsum(counts) - counts
+    cum -= np.repeat(cum[heads] - weights[heads], counts)
+    target = u * cum[heads + counts - 1]
+    slot = np.add.reduceat(cum <= np.repeat(target, counts), heads)
+    return classes[heads + np.minimum(slot, counts - 1)]
 
 
 def _survivors_for_order(
@@ -514,57 +668,28 @@ def _survivors_for_order(
     """Filter classes batch by batch in the given case order; return survivors.
 
     ``order`` is walked in consecutive batches of ``batch_size`` cases,
-    the last possibly smaller.  A class's score on a batch is its mean
-    error over the batch cases it is defined on.  A batch on which no
-    survivor is defined is skipped; otherwise it keeps the defined
-    classes whose score is within a tolerance of the least score among
-    the classes still in the running.  The tolerance is
-
-    * ``None``: zero, so one-case batches give lexicase;
-    * an (m,) array: the tolerance of the batch's case, for one-case
-      batches (epsilon-lexicase);
-    * a number: that fixed value;
-    * ``"mad"``: the median absolute deviation of the defined survivors'
-      scores, each counted once per member (``sizes``).
+    the last possibly smaller, with the tolerance of :func:`_filter_step`.
+    This is one event of the engine :func:`_filter_events` runs.
     """
-    alive = np.arange(errors.shape[0])
-    for start in range(0, order.size, batch_size):
-        if alive.size == 1:
-            break
-        if batch_size == 1:
-            # The mean over one case is its error: read the column, which
-            # costs far less than gathering a block when filters run deep.
-            case = order[start]
-            scores = errors[alive, case]
-            defined = None if support is None else support[alive, case]
-        else:
-            case = order[start : start + batch_size]
-            # Undefined entries are exactly zero, so the sum needs no mask.
-            scores = errors[np.ix_(alive, case)].sum(axis=1)
-            counts = case.size if support is None else support[np.ix_(alive, case)].sum(axis=1)
-            scores /= np.maximum(counts, 1)
-            defined = None if support is None else counts > 0
-        if defined is not None:
-            if not defined.any():
-                continue
-            scores = np.where(defined, scores, np.inf)
-        threshold = scores.min()
-        if isinstance(tolerance, np.ndarray):
-            threshold += tolerance[case]
-        elif tolerance == "mad":
-            weights = sizes[alive] if defined is None else sizes[alive] * defined
-            reps = np.repeat(scores, weights)
-            threshold += np.median(np.abs(reps - np.median(reps)))
-        elif tolerance is not None:
-            threshold += tolerance
-        alive = alive[scores <= threshold]
-    return alive
+    k = errors.shape[0]
+    step = partial(
+        _filter_step,
+        np.ascontiguousarray(errors.T),
+        None if support is None else np.ascontiguousarray(support.T, dtype=bool),
+        sizes,
+        tolerance,
+    )
+    order = np.asarray(order, dtype=np.intp)[None, :]
+    lone, events, _, classes = _filter_pairs(
+        step, batch_size, order, np.array([k]), np.arange(k, dtype=np.int32)
+    )
+    return classes if events.size else lone
 
 
 def lexicase_select(
     classing: EquivalenceClassing, n_events: int, rng: RandomSource
 ) -> np.ndarray:
-    """Classic lexicase selection, one event at a time.
+    """Classic lexicase selection.
 
     Each event shuffles the cases uniformly, then repeatedly keeps only
     the classes with minimum error on the next case.  The lone survivor
@@ -581,24 +706,74 @@ def _filter_events(
     tolerance: float | np.ndarray | str | None = None,
     batch_size: int = 1,
 ) -> np.ndarray:
-    """Run ``n_events`` lexicase-family events, one at a time.
+    """Run ``n_events`` lexicase-family events as (event, class) pairs.
 
-    Event i draws a uniform case order from stream ``(EVENT_STREAM, i)``,
-    filters the classes with :func:`_survivors_for_order`, and resolves
-    any remaining tie with :func:`_finish_event` on the same stream.
+    Event i draws a uniform case order from stream ``(EVENT_STREAM, i)``
+    and, when several classes outlast the cases, one uniform from the
+    same stream for :func:`_finish_events`.  Events run in blocks of
+    about :data:`_PAIR_BUDGET` pairs through :func:`_filter_pairs`.  With
+    one-case batches an event's first step keeps the elite of its first
+    case, whatever the event; when events are at least as many as cases,
+    each case's elite is computed once, as a pseudo-event holding every
+    class, and looked up.
     """
     if n_events < 1:
         raise ShapeError(f"need n_events >= 1, got {n_events}")
-    errors = classing.class_errors
-    support = None if classing.full_support else classing.class_support.astype(bool)
+    k, m = classing.class_errors.shape
+    case_support = None
+    if not classing.full_support:
+        case_support = classing.class_support.T.astype(bool, order="C")
     sizes = classing.sizes
-    out = np.empty(n_events, dtype=np.int64)
-    for i in range(n_events):
-        gen = rng.generator(EVENT_STREAM, i)
-        order = gen.permutation(classing.m)
-        alive = _survivors_for_order(errors, support, order, tolerance, batch_size, sizes)
-        out[i] = _finish_event(alive, sizes, gen)
-    return out
+    step = partial(
+        _filter_step,
+        np.ascontiguousarray(classing.class_errors.T),
+        case_support,
+        sizes,
+        tolerance,
+    )
+    batch_size = min(batch_size, m)
+    every = np.arange(k, dtype=np.int32)
+    # Computing every case's elite costs about what m events' first steps
+    # would, so fewer events take their first step on all pairs instead.
+    lookup = batch_size == 1 and n_events >= m
+    if lookup:
+        elite, elite_counts = [], []
+        chunk = max(1, _PAIR_BUDGET // k)
+        for lo in range(0, m, chunk):
+            cases = np.arange(lo, min(lo + chunk, m))
+            kept, n_kept = step(cases[:, None], np.full(cases.size, k), np.tile(every, cases.size))
+            elite.append(kept)
+            elite_counts.append(n_kept)
+        elite, elite_counts = np.concatenate(elite), np.concatenate(elite_counts)
+        elite_heads = np.cumsum(elite_counts) - elite_counts
+        per_event = -(-elite.size // m)
+    else:
+        per_event = k * batch_size
+    # A block's first step gathers about per_event entries per event, and
+    # its case orders take m.
+    block = max(1, _PAIR_BUDGET // max(per_event, m))
+    picks = np.empty(n_events, dtype=np.int64)
+    for lo in range(0, n_events, block):
+        hi = min(lo + block, n_events)
+        orders = np.empty((hi - lo, m), dtype=np.intp)
+        u = np.empty(hi - lo)
+        for j in range(hi - lo):
+            gen = rng.generator(EVENT_STREAM, lo + j)
+            orders[j] = gen.permutation(m)
+            # The finish draw comes next on the stream; taking it for every
+            # event leaves each stream's values unchanged.
+            u[j] = gen.random()
+        if lookup:
+            counts = elite_counts[orders[:, 0]]
+            classes = elite[_segment_positions(elite_heads[orders[:, 0]], counts)]
+            orders = orders[:, 1:]
+        else:
+            counts = np.full(hi - lo, k)
+            classes = np.tile(every, hi - lo)
+        lone, events, counts, classes = _filter_pairs(step, batch_size, orders, counts, classes)
+        lone[events] = _finish_events(counts, classes, sizes, u[events])
+        picks[lo:hi] = lone
+    return picks
 
 
 def epsilon_for_cases(classing: EquivalenceClassing) -> np.ndarray:

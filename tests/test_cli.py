@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lexsel import BenchRecord, save_matrix
+from lexsel import BenchRecord, cli, exact_lexicase_probs, oracle, save_matrix
 
 
 def run_cli(*argv):
@@ -147,6 +147,19 @@ class TestCompare:
     def test_empty_methods_exits_4(self, split_pair_csv):
         result = run_cli("compare", split_pair_csv, "--methods", " , ")
         assert result.returncode == 4
+
+    def test_exact_reference_computed_once(self, split_pair_csv, monkeypatch, capsys):
+        calls = []
+
+        def counted(classing):
+            calls.append(classing.k)
+            return exact_lexicase_probs(classing)
+
+        monkeypatch.setattr(oracle, "exact_lexicase_probs", counted)
+        assert cli.main(["compare", split_pair_csv, "--methods", "lexicase,dalex"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["methods"]["lexicase"]["js_divergence"] == 0.0
+        assert calls == [3]
 
 
 class TestBench:

@@ -403,6 +403,54 @@ class TestLexicaseSelect:
         picks = lexicase_select(classing, 300, RandomSource(4))
         assert (picks == 0).all()
 
+    @pytest.mark.parametrize(
+        "variant", ["lexicase", "epsilon_lexicase", "batch_lexicase", "partial"]
+    )
+    def test_leading_picks_do_not_depend_on_event_count(self, variant, monkeypatch):
+        # Each event draws its case order and finish uniform from its own
+        # stream, so its pick must not move whichever pair block it lands
+        # in.  A small pair budget splits 40 events into several blocks.
+        rng = np.random.default_rng(15)
+        errors = rng.integers(0, 4, (300, 12)).astype(float)
+        support = None
+        if variant == "partial":
+            support = (rng.random(errors.shape) < 0.4).astype(float)
+            support[~support.any(axis=1), 0] = 1.0
+            errors *= support
+        method = "batch_lexicase" if variant == "partial" else variant
+        cfg = SelectorConfig(method=method, batch_size=2 if method == "batch_lexicase" else 1)
+        classing = build_classes(errors, support)
+        reference = selectors.select_classes(classing, 40, cfg, RandomSource(16))
+        blocks = []
+        run_block = selectors._filter_pairs
+
+        def counted(*args):
+            blocks.append(args[2].shape[0])
+            return run_block(*args)
+
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", 4 * classing.k)
+        monkeypatch.setattr(selectors, "_filter_pairs", counted)
+        for n in (1, 2, 3, 5, 17, 40):
+            picks = selectors.select_classes(classing, n, cfg, RandomSource(16))
+            np.testing.assert_array_equal(picks, reference[:n])
+        assert max(blocks) < 40
+
+    def test_peak_memory_grows_with_block_not_event_count(self):
+        rng = np.random.default_rng(17)
+        classing = build_classes(rng.integers(0, 6, (1000, 20)).astype(float))
+        assert classing.k == 1000
+        peaks = []
+        for n_events in (2000, 8000):
+            tracemalloc.start()
+            try:
+                lexicase_select(classing, n_events, RandomSource(18))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Blocks hold about _PAIR_BUDGET (event, class) pairs, so both runs
+        # peak near 8 MB; filtering all 8000 events at once takes 41 MB.
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 class TestEpsilonLexicase:
     def test_epsilon_hand_values(self):
@@ -544,10 +592,22 @@ class TestBatchLexicase:
 
     @staticmethod
     def replay_matrix(errors):
+        """Errors and support (None for full support) of a replay input."""
         rng = np.random.default_rng(31)
         if errors == "integer":
-            return rng.integers(0, 4, (9, 7)).astype(float)
-        return rng.random((9, 7)) * 3.0
+            return rng.integers(0, 4, (9, 7)).astype(float), None
+        if errors == "duplicates":
+            # Classes of one to three members give the MAD unequal weights.
+            rows = rng.integers(0, 4, (6, 7)).astype(float)
+            return rows[[0, 1, 1, 2, 3, 3, 3, 4, 5, 0]], None
+        if errors == "sparse":
+            # No one is defined on cases 0 and 1 and few on the rest, so
+            # some batches have no defined survivor and are skipped.
+            support = (rng.random((9, 7)) < 0.35).astype(float)
+            support[:, :2] = 0.0
+            support[~support.any(axis=1), 2] = 1.0
+            return rng.integers(0, 4, (9, 7)) * support, support
+        return rng.random((9, 7)) * 3.0, None
 
     @staticmethod
     def partial_support_classing():
@@ -568,7 +628,7 @@ class TestBatchLexicase:
             batch_threshold_mode=mode,
             batch_threshold_value=value,
         )
-        classing = build_classes(self.replay_matrix("integer"))
+        classing = build_classes(*self.replay_matrix("integer"))
         assert_matches_replay(classing, cfg, RandomSource(10))
 
     @pytest.mark.parametrize(
@@ -576,11 +636,20 @@ class TestBatchLexicase:
         [
             (SelectorConfig(method="batch_lexicase", batch_size=3), "continuous"),
             (SelectorConfig(method="epsilon_lexicase"), "integer"),
+            (SelectorConfig(method="batch_lexicase", batch_size=2), "duplicates"),
+            (SelectorConfig(method="batch_lexicase", batch_size=2), "sparse"),
+            (SelectorConfig(method="batch_lexicase"), "sparse"),
         ],
-        ids=["batch_lexicase-continuous", "epsilon_lexicase-integer"],
+        ids=[
+            "batch_lexicase-continuous",
+            "epsilon_lexicase-integer",
+            "batch_lexicase-duplicates",
+            "batch_lexicase-sparse",
+            "batch_lexicase-size1-sparse",
+        ],
     )
     def test_filter_variants_match_scalar_replay(self, cfg, errors):
-        classing = build_classes(self.replay_matrix(errors))
+        classing = build_classes(*self.replay_matrix(errors))
         assert_matches_replay(classing, cfg, RandomSource(10))
 
     def test_partial_support_matches_scalar_replay(self):
