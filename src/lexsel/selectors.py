@@ -506,21 +506,38 @@ def _segment_positions(heads: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(heads - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row, ``np.median`` of the row with each value repeated by its
-    weight; every row needs a positive total weight.
+def _segment_argsort(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices that sort ``values`` within each segment of ``counts[i]``
+    consecutive entries, the segments kept in place."""
+    if counts.min() == counts.max():
+        # Equal segments, as in a first step over every class, sort as the
+        # rows of a matrix, faster than the two sorts below.
+        width = counts[0]
+        order = np.argsort(values.reshape(-1, width), axis=1)
+        order += np.arange(0, values.size, width)[:, None]
+        return order.ravel()
+    # A stable sort by segment keeps each segment's values in order; on
+    # 16-bit segment numbers numpy makes it a radix sort.
+    segment = np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(counts.size)), counts)
+    order = np.argsort(values)
+    return order[np.argsort(segment[order], kind="stable")]
+
+
+def _weighted_median(values: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per segment of ``counts[i]`` consecutive entries, ``np.median`` of
+    the segment with each value repeated by its weight; every segment
+    needs a positive total weight.
 
     An even total averages the two middle values as ``(a + b) / 2``,
     exactly as ``np.median`` does.
     """
-    width = values.shape[1]
-    order = np.argsort(values, axis=1)
-    order += np.arange(0, values.size, width)[:, None]
-    values = values.take(order).ravel()
-    # One running total over every row: a row's value of rank r sits at
-    # the first running total above the weight before the row, plus r.
-    cum = np.cumsum(weights.take(order))
-    ends = cum[width - 1 :: width]
+    order = _segment_argsort(values, counts)
+    values = values[order]
+    # One running total over every segment: a segment's value of rank r
+    # sits at the first running total above the weight before the
+    # segment, plus r.
+    cum = np.cumsum(weights[order])
+    ends = cum[np.cumsum(counts) - 1]
     total = np.diff(ends, prepend=0)
     before = ends - total
     a = values[np.searchsorted(cum, before + (total - 1) // 2, side="right")]
@@ -531,18 +548,9 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per segment of ``counts`` consecutive pairs, the median absolute
     deviation of the multiset holding each score ``weights`` times: the
-    value ``np.median`` gives on the ``np.repeat``-expanded segment.
-
-    Segments are padded to a common width with weightless ``inf``.
-    """
-    rows = np.repeat(np.arange(counts.size), counts)
-    cols = np.arange(scores.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    values = np.full((counts.size, counts.max()), np.inf)
-    padded = np.zeros(values.shape, dtype=np.int64)
-    values[rows, cols] = scores
-    padded[rows, cols] = weights
-    med = _weighted_median(values, padded)
-    return _weighted_median(np.abs(values - med[:, None]), padded)
+    value ``np.median`` gives on the ``np.repeat``-expanded segment."""
+    med = _weighted_median(scores, weights, counts)
+    return _weighted_median(np.abs(scores - np.repeat(med, counts)), weights, counts)
 
 
 def _filter_step(
@@ -612,8 +620,8 @@ def _filter_pairs(
     step: Callable, batch_size: int, orders: np.ndarray, counts: np.ndarray, classes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Filter a block of events, each holding ``counts[i]`` consecutive
-    (event, class) pairs of ``classes``, through ``step``:
-    :func:`_filter_step` bound to its matrices and tolerance.
+    (event, class) pairs of ``classes``, through ``step``, a
+    :func:`_case_major_step`.
 
     Row i of ``orders`` is event i's case order, walked in consecutive
     batches of ``batch_size`` cases.  An event retires once one class
@@ -657,31 +665,34 @@ def _finish_events(
     return classes[heads + np.minimum(slot, counts - 1)]
 
 
-def _survivors_for_order(
+def _case_major_step(
     errors: np.ndarray,
     support: np.ndarray | None,
-    order: np.ndarray,
-    tolerance: float | np.ndarray | str | None = None,
-    batch_size: int = 1,
     sizes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Filter classes batch by batch in the given case order; return survivors.
-
-    ``order`` is walked in consecutive batches of ``batch_size`` cases,
-    the last possibly smaller, with the tolerance of :func:`_filter_step`.
-    This is one event of the engine :func:`_filter_events` runs.
-    """
-    k = errors.shape[0]
-    step = partial(
+    tolerance: float | np.ndarray | str | None = None,
+) -> Callable:
+    """:func:`_filter_step` bound to case-major copies of the (k, m)
+    ``errors`` and ``support``, as :func:`_filter_pairs` takes it."""
+    return partial(
         _filter_step,
         np.ascontiguousarray(errors.T),
         None if support is None else np.ascontiguousarray(support.T, dtype=bool),
         sizes,
         tolerance,
     )
+
+
+def _survivors_for_order(
+    errors: np.ndarray, support: np.ndarray | None, order: np.ndarray
+) -> np.ndarray:
+    """Filter classes case by case in the given order, as lexicase does;
+    return the survivors.  This is one event of the engine
+    :func:`_filter_events` runs.
+    """
+    k = errors.shape[0]
     order = np.asarray(order, dtype=np.intp)[None, :]
     lone, events, _, classes = _filter_pairs(
-        step, batch_size, order, np.array([k]), np.arange(k, dtype=np.int32)
+        _case_major_step(errors, support), 1, order, np.array([k]), np.arange(k, dtype=np.int32)
     )
     return classes if events.size else lone
 
@@ -720,21 +731,14 @@ def _filter_events(
     if n_events < 1:
         raise ShapeError(f"need n_events >= 1, got {n_events}")
     k, m = classing.class_errors.shape
-    case_support = None
-    if not classing.full_support:
-        case_support = classing.class_support.T.astype(bool, order="C")
     sizes = classing.sizes
-    step = partial(
-        _filter_step,
-        np.ascontiguousarray(classing.class_errors.T),
-        case_support,
-        sizes,
-        tolerance,
-    )
+    support = None if classing.full_support else classing.class_support
+    step = _case_major_step(classing.class_errors, support, sizes, tolerance)
     batch_size = min(batch_size, m)
     every = np.arange(k, dtype=np.int32)
     # Computing every case's elite costs about what m events' first steps
-    # would, so fewer events take their first step on all pairs instead.
+    # would, with a zero or a MAD tolerance alike, so fewer events take
+    # their first step on all pairs instead.
     lookup = batch_size == 1 and n_events >= m
     if lookup:
         elite, elite_counts = [], []

@@ -660,6 +660,30 @@ class TestBatchLexicase:
         cfg = SelectorConfig(method="epsilon_lexicase")
         assert_matches_replay(self.partial_support_classing(), cfg, RandomSource(11))
 
+    def test_peak_memory_bounded_with_an_all_tied_case(self, monkeypatch):
+        # About ten classes solve each case, but every class ties on case
+        # 0, so events that draw it first keep every class.  The blocks are
+        # sized by the mean elite, and the MAD must stay within the pairs
+        # a block holds rather than pad every event to the widest one.
+        rng = np.random.default_rng(19)
+        errors = np.ones((1000, 20))
+        errors[rng.random(errors.shape) < 0.01] = 0.0
+        half = rng.random(errors.shape) < 0.05
+        errors[half] = 0.25 + 0.5 * rng.random(half.sum())
+        errors[:, 0] = 0.0
+        classing = build_classes(errors)
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", 1 << 15)
+        tracemalloc.start()
+        try:
+            batch_lexicase_select(
+                classing, 2000, SelectorConfig(method="batch_lexicase"), RandomSource(20)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 3 MB; padding each event's pairs to k takes about 28 MB.
+        assert peak < 32 * 8 * selectors._PAIR_BUDGET
+
     def test_oversized_batch_clamps_to_single_batch(self):
         # one batch holding every case scores classes by their plain
         # mean error, so the unique argmin always wins
