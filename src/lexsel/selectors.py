@@ -301,6 +301,9 @@ def _pick_marked(marked: np.ndarray, u: np.ndarray) -> np.ndarray:
     candidates, so stream consumption does not depend on the data.
     """
     picks = marked.argmax(axis=1)
+    # Every row is marked, so as many marks as rows is one a row.
+    if np.count_nonzero(marked) == marked.shape[0]:
+        return picks
     counts = marked.sum(axis=1)
     many = np.flatnonzero(counts > 1)
     if many.size:
@@ -354,7 +357,84 @@ def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
     return z
 
 
-def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
+_TINY32 = float(np.finfo(np.float32).tiny)
+# The largest shifted error the screen takes: every float32 fitness and
+# threshold then stays below the float32 maximum.
+_F32_ROOM = float(np.finfo(np.float32).max) / 4
+
+
+def _gamma(n: int, u: float) -> float:
+    """The rounding bound gamma_n = n u / (1 - n u)."""
+    return n * u / (1.0 - n * u)
+
+
+def _screen_setup(class_errors: np.ndarray):
+    """The per-pass inputs of :func:`_screen` for the shifted ``class_errors``:
+    their float32 copy, which cases have a unique best class, and the
+    bound's relative and absolute terms.  None, and a float64 pass, when
+    the errors do not fit float32, m is too large for the bound, or no
+    case has a unique best class.
+
+    Let F_c be class c's exact fitness under the float64 weights, and
+    g_c its float32 fitness.  Casting the weights and errors and summing
+    m non-negative terms in float32 puts g_c within a relative
+    gamma_{m+4} of F_c (two of the four spare terms cover the casts, two
+    the threshold's own rounding); flushing the weights below float32
+    ``tiny`` lowers it by at most m * tiny32 * max error; and float32
+    underflow in casts and products adds at most 2^-148 a term.  The
+    float64 fitness lies within a relative gamma_m of F_c, and ties
+    within ``slack``.  So every class of the float64 tie set has
+    g_c <= rel * min g + absolute, with ``rel`` and ``absolute`` below.
+    """
+    m = class_errors.shape[1]
+    top = float(class_errors.max())
+    unique_min = np.count_nonzero(class_errors == 0, axis=0) == 1
+    if top > _F32_ROOM or (m + 4) * 2.0**-24 >= 0.5 or not unique_min.any():
+        return None
+    g32, g64 = _gamma(m + 4, 2.0**-24), _gamma(m, 2.0**-53)
+    slack = 1.0 + 2.0 * m * np.finfo(np.float64).eps
+    rel = slack * (1 + g32) / (1 - g32) * (1 + g64) / (1 - g64)
+    absolute = (rel + 1) * m * (_TINY32 * top + 2.0**-148)
+    return class_errors.astype(np.float32), unique_min, rel, absolute
+
+
+def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 screen's candidate classes for each row of ``weights``,
+    and each row's best class: the classes whose float32 fitness is
+    within the bound of :func:`_screen_setup` of the row's least.  They
+    hold every class the float64 round would mark."""
+    errors32, _, rel, absolute = screen
+    w32 = weights.astype(np.float32)
+    # Subnormal weights would slow the product down tenfold.
+    w32[w32 < _TINY32] = 0.0
+    fitness = w32 @ errors32.T
+    best = fitness.argmin(axis=1)
+    low = fitness[np.arange(best.size), best].astype(np.float64)
+    # Rounded to float32, then up one ulp, the bound can only grow.
+    bound = np.nextafter((low * rel + absolute).astype(np.float32), np.float32(np.inf))
+    return fitness <= bound[:, None], best
+
+
+def _screen(weights: np.ndarray, scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """The events the float32 screen decides, and their classes.
+
+    Only events whose heaviest case has a unique best class are screened;
+    with a tied heaviest case most classes stay candidates, and the
+    screen would only add its product to the float64 one.  An event with
+    one candidate is decided.
+    """
+    rows = np.flatnonzero(screen[1][scores.argmax(axis=1)])
+    if rows.size == 0:
+        return rows, rows
+    candidates, best = _screen_candidates(weights[rows], screen)
+    # Every row holds its best class; one candidate in all is one a row.
+    if np.count_nonzero(candidates) == rows.size:
+        return rows, best
+    alone = np.count_nonzero(candidates, axis=1) == 1
+    return rows[alone], best[alone]
+
+
+def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.ndarray:
     """Mark, per event, the classes of least softmax-weighted mean error,
     faithful to the real-valued computation across the full pressure
     range.
@@ -383,13 +463,36 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     of least real fitness passes that test; a tied class that is in fact
     worse loses in a later round, once the agreed cases are gone, unless
     it differs from the others only below float resolution.
+
+    ``screen``, from :func:`_screen_setup`, lets a float32 product
+    (:func:`_screen`) decide the events whose float64 tie set it proves
+    to be one class; the others take the float64 round.
     """
+    n = scores.shape[0]
     slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
-    fitness = _flushed_softmax(scores) @ class_errors.T
-    tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
-    contested = np.flatnonzero(tied.sum(axis=1) > 1)
-    if contested.size == 0:
+    weights = _flushed_softmax(scores)
+    if screen is None:
+        rest = np.arange(n)
+    else:
+        rows, best = _screen(weights, scores, screen)
+        rest = np.delete(np.arange(n), rows)
+        if rest.size == 1 and n > 1:
+            # A one-row product rounds differently (see _event_blocks); a
+            # decided row keeps it a matrix product and gets the same mark.
+            rest = np.sort(np.append(rest, 1 if rest[0] == 0 else 0))
+    if rest.size == n:
+        fitness = weights @ class_errors.T
+        tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
+    else:
+        tied = np.zeros((n, class_errors.shape[0]), dtype=bool)
+        tied[rows, best] = True
+        if rest.size:
+            fitness = weights[rest] @ class_errors.T
+            tied[rest] = fitness <= fitness.min(axis=1, keepdims=True) * slack
+    # Every event marks its best class; as many marks as events is one each.
+    if np.count_nonzero(tied) == n:
         return tied
+    contested = np.flatnonzero(tied.sum(axis=1) > 1)
     survivors = tied[contested]
     usable = np.ones((contested.size, scores.shape[1]), dtype=bool)
     live = np.arange(contested.size)
@@ -456,7 +559,9 @@ def dalex_select(
     does not depend on how many events run with it.  With full support,
     aggregation runs through a tie-resolving cascade (:func:`_cascade`)
     so that high pressure yields the lexicographic order the weights
-    encode instead of float64 round-off noise.  Partial support keeps the
+    encode instead of float64 round-off noise; a float32 screen decides
+    the events whose winner it can prove, with the same picks as the
+    float64 round (:func:`_screen_setup`).  Partial support keeps the
     single-pass computation: dividing by per-class support mass leaves no
     exact cancellation to exploit.
     """
@@ -478,6 +583,7 @@ def dalex_select(
     full_support = classing.full_support
     if full_support:
         class_errors = _shifted_errors(class_errors)
+        screen = _screen_setup(class_errors)
     elif class_errors is not classing.class_errors:
         classing = EquivalenceClassing(
             class_errors=class_errors,
@@ -487,7 +593,7 @@ def dalex_select(
     picks = np.empty(n_events, dtype=np.intp)
     for lo, hi in _event_blocks(n_events, classing.k):
         if full_support:
-            marked = _cascade(importance[lo:hi], class_errors)
+            marked = _cascade(importance[lo:hi], class_errors, screen)
         else:
             fitness = weighted_fitness(classing, softmax_rows(importance[lo:hi]))
             marked = fitness == fitness.min(axis=1, keepdims=True)
@@ -506,51 +612,80 @@ def _segment_positions(heads: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(heads - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _segment_argsort(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _segment_argsort(values: np.ndarray, counts: np.ndarray, kind: str | None = None) -> np.ndarray:
     """Indices that sort ``values`` within each segment of ``counts[i]``
-    consecutive entries, the segments kept in place."""
+    consecutive entries, the segments kept in place; ``kind`` picks
+    numpy's sort algorithm within segments."""
     if counts.min() == counts.max():
         # Equal segments, as in a first step over every class, sort as the
         # rows of a matrix, faster than the two sorts below.
         width = counts[0]
-        order = np.argsort(values.reshape(-1, width), axis=1)
+        order = np.argsort(values.reshape(-1, width), axis=1, kind=kind)
         order += np.arange(0, values.size, width)[:, None]
         return order.ravel()
     # A stable sort by segment keeps each segment's values in order; on
     # 16-bit segment numbers numpy makes it a radix sort.
     segment = np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(counts.size)), counts)
-    order = np.argsort(values)
+    order = np.argsort(values, kind=kind)
     return order[np.argsort(segment[order], kind="stable")]
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per segment of ``counts[i]`` consecutive entries, ``np.median`` of
-    the segment with each value repeated by its weight; every segment
-    needs a positive total weight.
+def _midpoint(a: np.ndarray, b: np.ndarray, total) -> np.ndarray:
+    """``a`` where ``total`` is odd, else ``(a + b) / 2`` as ``np.median``
+    takes it, or ``a / 2 + b / 2`` where ``a + b`` overflows."""
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2
+    over = np.isinf(mid)
+    mid[over] = a[over] / 2 + b[over] / 2
+    return np.where(total % 2 == 1, a, mid)
 
-    An even total averages the two middle values as ``(a + b) / 2``,
-    exactly as ``np.median`` does.
-    """
-    order = _segment_argsort(values, counts)
-    values = values[order]
+
+def _weighted_median(values: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per segment of ``counts[i]`` consecutive entries, sorted within the
+    segment, ``np.median`` of the segment with each value repeated by its
+    weight; every segment needs a positive total weight."""
     # One running total over every segment: a segment's value of rank r
     # sits at the first running total above the weight before the
     # segment, plus r.
-    cum = np.cumsum(weights[order])
+    cum = np.cumsum(weights)
     ends = cum[np.cumsum(counts) - 1]
     total = np.diff(ends, prepend=0)
     before = ends - total
     a = values[np.searchsorted(cum, before + (total - 1) // 2, side="right")]
     b = values[np.searchsorted(cum, before + total // 2, side="right")]
-    return np.where(total % 2 == 1, a, (a + b) / 2)
+    return _midpoint(a, b, total)
 
 
 def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per segment of ``counts`` consecutive pairs, the median absolute
     deviation of the multiset holding each score ``weights`` times: the
-    value ``np.median`` gives on the ``np.repeat``-expanded segment."""
+    value ``np.median`` gives on the ``np.repeat``-expanded segment, with
+    an even count's midpoint safe from overflow (:func:`_midpoint`)."""
+    width = counts[0]
+    if (counts == width).all() and (weights == 1).all():
+        # Unit weights in equal segments, as in a population without
+        # duplicates: the middle ranks of sorted rows, with no argsort.
+        rows = np.sort(scores.reshape(-1, width), axis=1)
+        med = _midpoint(rows[:, (width - 1) // 2], rows[:, width // 2], width)
+        with np.errstate(over="ignore"):
+            rows -= med[:, None]
+        np.abs(rows, out=rows)
+        rows.sort(axis=1)
+        return _midpoint(rows[:, (width - 1) // 2], rows[:, width // 2], width)
+    order = _segment_argsort(scores, counts)
+    scores, weights = scores[order], weights[order]
     med = _weighted_median(scores, weights, counts)
-    return _weighted_median(np.abs(scores - np.repeat(med, counts)), weights, counts)
+    # The sorted copy becomes the deviations.  One that overflows belongs
+    # to less than half the weight, on one side of the median, so it never
+    # reaches the median deviation.
+    with np.errstate(over="ignore"):
+        scores -= np.repeat(med, counts)
+    np.abs(scores, out=scores)
+    # Over sorted scores the deviations fall, then rise: runs a stable
+    # sort merges in linear time, where numpy's default argsort slows down
+    # tenfold on rows dominated by their least value (deviation 0).
+    order = _segment_argsort(scores, counts, kind="stable")
+    return _weighted_median(scores[order], weights[order], counts)
 
 
 def _filter_step(
@@ -785,11 +920,10 @@ def epsilon_for_cases(classing: EquivalenceClassing) -> np.ndarray:
 
     Computed over the full population, so class rows are weighted by
     their member counts.  Even-length medians average the two middle
-    values.
+    values, without overflow (:func:`_midpoint`).
     """
-    reps = np.repeat(classing.class_errors, classing.sizes, axis=0)
-    med = np.median(reps, axis=0)
-    return np.median(np.abs(reps - med), axis=0)
+    k, m = classing.class_errors.shape
+    return _segment_mad(classing.class_errors.T.ravel(), np.tile(classing.sizes, m), np.full(m, k))
 
 
 def epsilon_lexicase_select(

@@ -29,7 +29,8 @@ from lexsel import (
     weighted_fitness,
 )
 from lexsel import selectors
-from lexsel.core import EVENT_STREAM
+from lexsel import oracle
+from lexsel.core import EVENT_STREAM, TIEBREAK_STREAM, standardize_per_case
 from lexsel.exceptions import ConfigError, ShapeError
 
 
@@ -367,6 +368,127 @@ class TestDalexSelect:
     def test_relaxed_extreme_finite_errors_do_not_overflow(self):
         self.assert_extreme_errors_split(self.cfg(pressure=200.0, relaxed=True))
 
+    def test_errors_beyond_float32_range_take_the_float64_path(self):
+        # Errors of 1e39-1e300 are fine in float64 but overflow float32, so
+        # the pass must skip the float32 screen.  Each case has its own
+        # scale, and class 0 is half as far from zero as any other class.
+        rng = np.random.default_rng(43)
+        scale = 10.0 ** rng.uniform(39.0, 300.0, 12)
+        errors = rng.uniform(1.0, 2.0, (8, 12)) * scale
+        errors[0] = scale / 2
+        classing = build_classes(errors)
+        shifted = selectors._shifted_errors(classing.class_errors)
+        assert selectors._screen_setup(shifted) is None
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for pressure in (0.0, 2.0, 200.0):
+                for relaxed in (False, True):
+                    cfg = self.cfg(pressure=pressure, relaxed=relaxed)
+                    picks = dalex_select(classing, 300, cfg, RandomSource(44))
+                    assert (picks == 0).all()
+
+
+def screen_matrices():
+    """Full-support matrices with some cases of a unique best class, so
+    the float32 screen runs on each."""
+    rng = np.random.default_rng(45)
+    binary = rng.integers(0, 2, (80, 20)).astype(float)
+    binary[:, :8] = 1.0
+    binary[rng.integers(0, 80, 8), np.arange(8)] = 0.0
+    ties = rng.integers(0, 10, (60, 16)).astype(float)
+    ties[rng.integers(0, 60, 4), np.arange(4)] = -1.0
+    mixed = rng.random((2500, 30))
+    # Even cases tie at their minimum, odd cases have a unique one.
+    mixed[:, ::2] = rng.integers(0, 3, (2500, 15))
+    return {
+        "distinct": rng.random((150, 24)),
+        "integer-ties": ties,
+        "binary": binary,
+        "mixed": mixed,
+    }
+
+
+def float64_cascade_picks(classing, n_events, cfg, rng):
+    """``dalex_select``'s picks with every event through the float64
+    round of the cascade, no screen."""
+    errors = classing.class_errors
+    if cfg.relaxed:
+        errors = standardize_per_case(errors, classing.sizes)
+    errors = selectors._shifted_errors(errors)
+    importance = sample_importance(n_events, classing.m, cfg, rng)
+    u = rng.generator(TIEBREAK_STREAM).random(n_events)
+    picks = np.empty(n_events, dtype=np.intp)
+    for lo, hi in selectors._event_blocks(n_events, classing.k):
+        marked = selectors._cascade(importance[lo:hi], errors)
+        picks[lo:hi] = selectors._pick_marked(marked, u[lo:hi])
+    return picks
+
+
+class TestFloat32Screen:
+    PRESSURES = (0.0, 2.0, 20.0, 200.0, 2000.0)
+
+    @pytest.mark.parametrize("name", ["distinct", "integer-ties", "binary", "mixed"])
+    def test_screened_picks_equal_float64_cascade_picks(self, name):
+        classing = build_classes(screen_matrices()[name])
+        n_events = 600
+        decided = 0
+        for pressure in self.PRESSURES:
+            for distribution in ("normal", "uniform", "shuffled_range"):
+                for relaxed in (False, True):
+                    cfg = SelectorConfig(
+                        "dalex", pressure=pressure, distribution=distribution, relaxed=relaxed
+                    )
+                    picks = dalex_select(classing, n_events, cfg, RandomSource(46))
+                    expected = float64_cascade_picks(classing, n_events, cfg, RandomSource(46))
+                    np.testing.assert_array_equal(picks, expected, err_msg=str(cfg))
+                    errors = classing.class_errors
+                    if relaxed:
+                        errors = standardize_per_case(errors, classing.sizes)
+                    screen = selectors._screen_setup(selectors._shifted_errors(errors))
+                    importance = sample_importance(n_events, classing.m, cfg, RandomSource(46))
+                    weights = selectors._flushed_softmax(importance)
+                    decided += selectors._screen(weights, importance, screen)[0].size
+        assert decided > 0
+
+    def test_one_block_holds_both_routes(self):
+        classing = build_classes(screen_matrices()["mixed"])
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        (lo, hi), *_ = selectors._event_blocks(4000, classing.k)
+        importance = sample_importance(
+            4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(47)
+        )
+        routed = screen[1][importance[lo:hi].argmax(axis=1)]
+        assert routed.any() and not routed.all()
+
+    def test_candidates_hold_the_float64_tie_set(self):
+        rng = np.random.default_rng(48)
+        base = rng.random((1, 10))
+        matrices = [*screen_matrices().values()]
+        # Classes a few ulps apart, far below float32 resolution.
+        near = base + base * np.finfo(float).eps * rng.integers(1, 5, (40, 10))
+        near[0] = base
+        matrices.append(near)
+        # Rotations of one row: at pressure 0 every class has the same real
+        # fitness, which float32 rounds differently per class.
+        row = rng.random(100) * 10.0 ** rng.uniform(-3.0, 3.0, 100)
+        matrices.append(np.array([np.roll(row, c) for c in range(100)]))
+        # Errors below float32 tiny, where the absolute term decides.
+        matrices.append(rng.random((40, 10)) * 1e-39)
+        matrices.append(rng.random((40, 12)) * np.logspace(-30, 30, 12))
+        for errors in matrices:
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            screen = selectors._screen_setup(shifted)
+            assert screen is not None
+            slack = 1.0 + 2.0 * shifted.shape[1] * np.finfo(np.float64).eps
+            for pressure in self.PRESSURES:
+                cfg = SelectorConfig("dalex", pressure=pressure)
+                importance = sample_importance(500, shifted.shape[1], cfg, RandomSource(49))
+                weights = selectors._flushed_softmax(importance)
+                fitness = weights @ shifted.T
+                tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
+                candidates, _ = selectors._screen_candidates(weights, screen)
+                assert not (tied & ~candidates).any()
+
 
 class TestLexicaseSelect:
     def test_dominator_always_wins(self):
@@ -497,6 +619,26 @@ class TestEpsilonLexicase:
         picks = epsilon_lexicase_select(classing, 30_000, RandomSource(7), epsilons=[5.0])
         freq_big = (picks == 0).mean()
         assert abs(freq_big - 2 / 3) < 0.01
+
+    def test_mad_of_extreme_finite_errors_stays_finite(self):
+        # The midpoint (a + b) / 2 of two values near 1e308 overflows; the
+        # true MAD is finite and exact epsilon-lexicase splits three ways.
+        classing = build_classes(
+            [[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [1e308, 1e308, 1e308],
+             [-1e308, -1e308, 5.0]]
+        )
+        with np.errstate(over="raise", invalid="raise"):
+            epsilons = epsilon_for_cases(classing)
+            picks = epsilon_lexicase_select(classing, 30_000, RandomSource(24))
+            exact = oracle._method_distribution(
+                classing, SelectorConfig("epsilon_lexicase"), RandomSource(25), 10
+            )
+        np.testing.assert_array_equal(epsilons, [1e308, 1e308, 2.5])
+        expected = [1 / 3, 1 / 3, 0.0, 1 / 3]
+        assert exact.kind == "exact"
+        np.testing.assert_allclose(exact.probs, expected)
+        freqs = np.bincount(picks, minlength=4) / picks.size
+        np.testing.assert_allclose(freqs, expected, atol=0.012)
 
     def test_override_validation(self):
         classing = build_classes([[0.0, 1.0]])
