@@ -460,6 +460,42 @@ class TestFloat32Screen:
         routed = screen[1][importance[lo:hi].argmax(axis=1)]
         assert routed.any() and not routed.all()
 
+    def test_small_float64_remainder_keeps_the_picks(self):
+        # One tied case in 40: a block sends only the few events whose
+        # heaviest case it is to the float64 product, a product of a few
+        # rows for which BLAS may take other kernels than for the block.
+        rng = np.random.default_rng(52)
+        errors = rng.random((2500, 40))
+        errors[:, 0] = rng.integers(0, 3, 2500)
+        classing = build_classes(errors)
+        shifted = selectors._shifted_errors(classing.class_errors)
+        screen = selectors._screen_setup(shifted)
+        remainders = set()
+        for n_events in (12, 60, 200, 1000):
+            for pressure in (2.0, 200.0, 2000.0):
+                cfg = SelectorConfig("dalex", pressure=pressure)
+                picks = dalex_select(classing, n_events, cfg, RandomSource(53))
+                expected = float64_cascade_picks(classing, n_events, cfg, RandomSource(53))
+                np.testing.assert_array_equal(picks, expected, err_msg=str(cfg))
+                importance = sample_importance(n_events, classing.m, cfg, RandomSource(53))
+                for lo, hi in selectors._event_blocks(n_events, classing.k):
+                    weights = selectors._flushed_softmax(importance[lo:hi])
+                    rows, _ = selectors._screen(weights, importance[lo:hi], screen)
+                    remainders.add(hi - lo - rows.size)
+        assert min(remainders) <= 3 and max(remainders) >= 10
+        # A product of fewer rows may round a row a few ulps apart from the
+        # block's product, but each lies within m * eps / 2 of the exact
+        # fitness, so the two differ by far less than the tie slack.
+        for pressure in (2.0, 20.0):
+            cfg = SelectorConfig("dalex", pressure=pressure)
+            importance = sample_importance(500, classing.m, cfg, RandomSource(54))
+            weights = selectors._flushed_softmax(importance)
+            block = weights @ shifted.T
+            for size in range(2, 41):
+                rows = np.sort(rng.choice(500, size, replace=False))
+                gap = np.abs(weights[rows] @ shifted.T - block[rows])
+                assert (gap <= classing.m * np.finfo(float).eps * block[rows]).all()
+
     def test_candidates_hold_the_float64_tie_set(self):
         rng = np.random.default_rng(48)
         base = rng.random((1, 10))
