@@ -38,16 +38,25 @@ __all__ = [
     "TIEBREAK_STREAM",
     "EVENT_STREAM",
     "EXPAND_STREAM",
+    "FINISH_STREAM",
 ]
 
 # Purpose tags for substream derivation.  Keeping the tag space fixed and
 # documented means every random draw in the library is addressable as
-# (master_seed, path, tag, event index), which is what makes reruns
-# bit-identical regardless of batching or parallel execution.
+# (master_seed, path, tag) plus a position on that stream.  Each selector
+# draws its per-event values from one stream per purpose, in event order,
+# one event's worth at a time (a row of scores, a case order, a uniform),
+# so event i's draws sit at the same position whatever the number of
+# events or the block size, and reruns are bit-identical regardless of
+# batching.
 IMPORTANCE_STREAM = 0
 TIEBREAK_STREAM = 1
+# Lexicase-family case orders: one ``permutation(m)`` per event.
 EVENT_STREAM = 2
 EXPAND_STREAM = 3
+# Lexicase-family finish uniforms: one ``random()`` per event, drawn
+# whether or not the event ends with several classes.
+FINISH_STREAM = 4
 
 
 @dataclass(frozen=True)
@@ -56,9 +65,11 @@ class RandomSource:
 
     A 64-bit master seed plus a structural key path identify every
     stream.  ``generator(*key)`` returns a fresh ``numpy.random.Generator``
-    whose output depends only on ``(master_seed, path + key)``, so the
-    i-th selection event sees the same randomness no matter how many
-    events run before it or how work is split across workers.
+    whose output depends only on ``(master_seed, path + key)``.  A
+    selection pass makes one generator per purpose tag and draws its
+    events' values from it in event order, a fixed amount per event, so
+    the i-th selection event sees the same randomness no matter how many
+    events run after it or how the pass splits its events into blocks.
 
     Parameters
     ----------

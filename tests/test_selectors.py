@@ -30,7 +30,7 @@ from lexsel import (
 )
 from lexsel import selectors
 from lexsel import oracle
-from lexsel.core import EVENT_STREAM, TIEBREAK_STREAM, standardize_per_case
+from lexsel.core import EVENT_STREAM, FINISH_STREAM, TIEBREAK_STREAM, standardize_per_case
 from lexsel.exceptions import ConfigError, ShapeError
 
 
@@ -496,6 +496,30 @@ class TestFloat32Screen:
                 gap = np.abs(weights[rows] @ shifted.T - block[rows])
                 assert (gap <= classing.m * np.finfo(float).eps * block[rows]).all()
 
+    def test_float64_remainder_separates_classes_below_float32_resolution(self):
+        # Contenders differ by 1e-10 to 1e-7 on every case, below float32
+        # resolution at 1.0 but far beyond the float64 tie slack, so only a
+        # float64 product tells them apart and no agreed case lets the
+        # cascade do it.  Events with
+        # a dominant case go to its specialist and the screen decides them;
+        # the others stay undecided and take the smaller float64 product.
+        rng = np.random.default_rng(55)
+        m, q = 10, 30
+        specialists = np.full((m, m), 1000.0)
+        np.fill_diagonal(specialists, 0.0)
+        contenders = 1.0 + 1e-10 * rng.integers(1, 1000, (q, m))
+        classing = build_classes(np.vstack([contenders, specialists]))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        for pressure in (5.0, 10.0, 20.0):
+            cfg = SelectorConfig("dalex", pressure=pressure)
+            picks = dalex_select(classing, 600, cfg, RandomSource(56))
+            expected = float64_cascade_picks(classing, 600, cfg, RandomSource(56))
+            np.testing.assert_array_equal(picks, expected, err_msg=str(cfg))
+            importance = sample_importance(600, m, cfg, RandomSource(56))
+            weights = selectors._flushed_softmax(importance)
+            decided = selectors._screen(weights, importance, screen)[0].size
+            assert 0 < decided < 600 and np.unique(picks[picks < q]).size > 1
+
     def test_candidates_hold_the_float64_tie_set(self):
         rng = np.random.default_rng(48)
         base = rng.random((1, 10))
@@ -565,9 +589,10 @@ class TestLexicaseSelect:
         "variant", ["lexicase", "epsilon_lexicase", "batch_lexicase", "partial"]
     )
     def test_leading_picks_do_not_depend_on_event_count(self, variant, monkeypatch):
-        # Each event draws its case order and finish uniform from its own
-        # stream, so its pick must not move whichever pair block it lands
-        # in.  A small pair budget splits 40 events into several blocks.
+        # Event i's case order and finish uniform are the i-th draws of
+        # the pass's two streams, so its pick must not move whichever pair
+        # block it lands in.  A small pair budget splits 40 events into
+        # several blocks.
         rng = np.random.default_rng(15)
         errors = rng.integers(0, 4, (300, 12)).astype(float)
         support = None
@@ -592,6 +617,38 @@ class TestLexicaseSelect:
             picks = selectors.select_classes(classing, n, cfg, RandomSource(16))
             np.testing.assert_array_equal(picks, reference[:n])
         assert max(blocks) < 40
+
+    @pytest.mark.parametrize("method", ["lexicase", "epsilon_lexicase", "batch_lexicase"])
+    def test_leading_picks_do_not_depend_on_block_split(self, method, monkeypatch):
+        # The streams are drawn block by block in event order, so the first
+        # j picks stay put when one more event spills into a new block, when
+        # several blocks run, and whatever the pair budget.
+        rng = np.random.default_rng(25)
+        classing = build_classes(rng.integers(0, 4, (300, 12)).astype(float))
+        cfg = SelectorConfig(method=method, batch_size=2 if method == "batch_lexicase" else 1)
+        blocks = []
+        run_block = selectors._filter_pairs
+
+        def counted(*args):
+            blocks.append(args[2].shape[0])
+            return run_block(*args)
+
+        monkeypatch.setattr(selectors, "_filter_pairs", counted)
+        tiny = 8 * classing.k
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", tiny)
+        selectors.select_classes(classing, 200, cfg, RandomSource(26))
+        block = blocks[0]
+        assert 1 < block < 200 / 3
+        many = 3 * block + 2
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", 1 << 18)
+        reference = selectors.select_classes(classing, many, cfg, RandomSource(26))
+        for budget in (tiny, 1 << 18):
+            monkeypatch.setattr(selectors, "_PAIR_BUDGET", budget)
+            for n in (block, block + 1, many):
+                blocks.clear()
+                picks = selectors.select_classes(classing, n, cfg, RandomSource(26))
+                np.testing.assert_array_equal(picks, reference[:n], err_msg=f"{budget} {n}")
+                assert len(blocks) == (1 if budget > tiny else -(-n // block))
 
     def test_peak_memory_grows_with_block_not_event_count(self):
         rng = np.random.default_rng(17)
@@ -624,6 +681,24 @@ class TestEpsilonLexicase:
         # the duplicate row must count twice: the unweighted class-level
         # MAD would be 0.25, the population value is 0
         assert epsilon_for_cases(grouped)[0] == 0.0
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_epsilon_is_np_median_of_member_rows(self, duplicates):
+        # Populations with duplicates take the member-expanded rows, those
+        # without the class rows; both must give np.median's bits.
+        rng = np.random.default_rng(36)
+        for rows in (
+            rng.integers(0, 5, (300, 40)).astype(float),
+            rng.normal(size=(301, 40)) * 10.0 ** rng.uniform(-300, 300, 40),
+        ):
+            if duplicates:
+                rows = rows[rng.integers(0, len(rows) // 3, len(rows))]
+            classing = build_classes(rows)
+            assert (classing.k < classing.n) == duplicates
+            med = np.median(rows, axis=0)
+            np.testing.assert_array_equal(
+                epsilon_for_cases(classing), np.median(np.abs(rows - med), axis=0)
+            )
 
     def test_semi_dynamic_hand_instance(self):
         # tolerances are [1, 0]; during an event the threshold tracks the
@@ -684,17 +759,15 @@ class TestEpsilonLexicase:
             epsilon_lexicase_select(classing, 1, RandomSource(0), epsilons=[-1.0, 0.0])
 
 
-def replay_batch_event(classing, cfg, gen, epsilons=None):
-    """Scalar reimplementation of one batch selection event.
-
-    Consumes the generator exactly like the vectorized version: one
-    permutation up front, one uniform only if several classes survive.
-    ``epsilons`` replaces the batch threshold with a per-case tolerance
-    (one-case batches), which is epsilon-lexicase.
+def replay_batch_event(classing, cfg, order, u, epsilons=None):
+    """Scalar reimplementation of one batch selection event with case
+    order ``order`` and finish uniform ``u``, used only if several
+    classes survive.  ``epsilons`` replaces the batch threshold with a
+    per-case tolerance (one-case batches), which is epsilon-lexicase.
     """
     m = classing.m
     b = min(cfg.batch_size, m)
-    order = list(gen.permutation(m))
+    order = list(order)
     alive = list(range(classing.k))
     for start in range(0, m, b):
         if len(alive) == 1:
@@ -722,7 +795,6 @@ def replay_batch_event(classing, cfg, gen, epsilons=None):
         alive = [c for c in alive if c in means and means[c] <= best + tau]
     if len(alive) == 1:
         return alive[0]
-    u = gen.random()
     total = sum(int(classing.sizes[c]) for c in alive)
     acc = 0.0
     for c in alive:
@@ -733,15 +805,24 @@ def replay_batch_event(classing, cfg, gen, epsilons=None):
 
 
 def assert_matches_replay(classing, cfg, src, n_events=200):
-    """Picks of ``cfg``'s selector equal the scalar replay of every event."""
+    """Picks of ``cfg``'s selector equal the scalar replay of every event.
+
+    The replay takes event i's case order as the i-th ``permutation(m)``
+    of the ``EVENT_STREAM`` generator and its finish uniform as the i-th
+    ``random()`` of the ``FINISH_STREAM`` generator, one of each per
+    event whether or not the event uses it.
+    """
     epsilons = None
     if cfg.method == "epsilon_lexicase":
         epsilons = epsilon_for_cases(classing)
         assert (epsilons > 0).any()
     picks = selectors.select_classes(classing, n_events, cfg, src)
+    order_gen, finish_gen = src.generator(EVENT_STREAM), src.generator(FINISH_STREAM)
     expected = [
-        replay_batch_event(classing, cfg, src.generator(EVENT_STREAM, i), epsilons)
-        for i in range(n_events)
+        replay_batch_event(
+            classing, cfg, order_gen.permutation(classing.m), finish_gen.random(), epsilons
+        )
+        for _ in range(n_events)
     ]
     np.testing.assert_array_equal(picks, expected)
 
@@ -861,6 +942,22 @@ class TestBatchLexicase:
             tracemalloc.stop()
         # About 3 MB; padding each event's pairs to k takes about 28 MB.
         assert peak < 32 * 8 * selectors._PAIR_BUDGET
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 16])
+    def test_extreme_finite_errors_do_not_overflow(self, batch_size):
+        # A batch's errors near +-1e308 overflow their sum though their
+        # mean fits.  Scaling every error by a power of two scales each
+        # mean and MAD exactly and keeps every comparison, so the picks
+        # must equal those on the scaled matrix.
+        rng = np.random.default_rng(34)
+        errors = rng.choice([1e308, -1e308, 1e300, 0.0, 3.0], (60, 12))
+        cfg = SelectorConfig(method="batch_lexicase", batch_size=batch_size)
+        with np.errstate(over="raise", invalid="raise"):
+            picks = batch_lexicase_select(build_classes(errors), 300, cfg, RandomSource(35))
+            scaled = batch_lexicase_select(
+                build_classes(errors * 2.0**-600), 300, cfg, RandomSource(35)
+            )
+        np.testing.assert_array_equal(picks, scaled)
 
     def test_oversized_batch_clamps_to_single_batch(self):
         # one batch holding every case scores classes by their plain
