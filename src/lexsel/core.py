@@ -50,6 +50,10 @@ __all__ = [
 # events or the block size, and reruns are bit-identical regardless of
 # batching.
 IMPORTANCE_STREAM = 0
+# Normal scores drawn in parts by a screened dalex pass take the keys
+# (0, 0), (0, 1) and (0, 2) of the importance tag: order-statistic
+# spacings and cases, four an event, and m rest uniforms an event at the
+# event's own position, drawn only for the events that need them.
 TIEBREAK_STREAM = 1
 # Lexicase-family case orders: one ``permutation(m)`` per event.
 EVENT_STREAM = 2
@@ -67,9 +71,11 @@ class RandomSource:
     stream.  ``generator(*key)`` returns a fresh ``numpy.random.Generator``
     whose output depends only on ``(master_seed, path + key)``.  A
     selection pass makes one generator per purpose tag and draws its
-    events' values from it in event order, a fixed amount per event, so
-    the i-th selection event sees the same randomness no matter how many
-    events run after it or how the pass splits its events into blocks.
+    events' values from it in event order, a fixed amount per event (or,
+    for values drawn only for some events, at each event's own position),
+    so the i-th selection event sees the same randomness no matter how
+    many events run after it or how the pass splits its events into
+    blocks.
 
     Parameters
     ----------

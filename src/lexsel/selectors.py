@@ -23,7 +23,7 @@ and the survival tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -207,6 +207,181 @@ def config_to_mapping(cfg: SelectorConfig, seed: int | None = None) -> dict[str,
     return out
 
 
+# When dalex_select screens a pass, it draws normal importance scores in
+# parts, by inverse transform: each event's four largest scores and
+# their cases first, and the rest only for the events that need them.
+# At high pressure most events are then decided from their heaviest
+# cases alone (:func:`_top_decide`), without drawing or weighing the
+# other m - 4.  The distribution is that of :func:`sample_importance`;
+# the draws are not.
+_TOP = 4
+# Probabilities passed to the inverse normal CDF stay inside (0, 1).
+_P_LOW = float(np.finfo(np.float64).tiny)
+_P_HIGH = 1.0 - 2.0**-53
+
+# Wichura's algorithm AS 241 (PPND16), relative accuracy about 1e-16:
+# rational approximations in q = p - 0.5 near the center and in
+# r = sqrt(-log(min(p, 1 - p))) in the tails, lowest degree first.
+_CENTER_NUM = (
+    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+    3.3430575583588128105e4, 2.5090809287301226727e3,
+)
+_CENTER_DEN = (
+    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+    5.2264952788528545610e3,
+)
+_NEAR_NUM = (
+    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+    2.27238449892691845833e-2, 7.74545014278341407640e-4,
+)
+_NEAR_DEN = (
+    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+)
+_FAR_NUM = (
+    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+    2.71155556874348757815e-5, 2.01033439929228813265e-7,
+)
+_FAR_DEN = (
+    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+)
+
+
+def _horner(coefficients, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each entry of ``p`` in (0, 1).
+
+    Elementwise, so a value does not depend on the array it sits in.
+    """
+    shape = p.shape
+    p = p.ravel()
+    q = p - 0.5
+    r = 0.180625 - q * q
+    out = q * _horner(_CENTER_NUM, r)
+    out /= _horner(_CENTER_DEN, r)
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        qt = q[tails]
+        r = np.sqrt(-np.log(np.minimum(p[tails], 0.5 - qt)))
+        near = r <= 5.0
+        value = np.empty_like(r)
+        x = r[near] - 1.6
+        value[near] = _horner(_NEAR_NUM, x) / _horner(_NEAR_DEN, x)
+        x = r[~near] - 5.0
+        value[~near] = _horner(_FAR_NUM, x) / _horner(_FAR_DEN, x)
+        out[tails] = np.copysign(value, qt)
+    return out.reshape(shape)
+
+
+def _top_scores(n_events: int, m: int, pressure: float, rng: RandomSource):
+    """Each event's ``min(4, m)`` largest normal scores, largest first,
+    their (distinct, uniformly placed) cases, and the normal CDF level
+    below which its other scores lie.
+
+    By Renyi's representation, -log Phi(X) of the t-th largest of m
+    standard normal draws is the sum of t independent exponential
+    spacings, the s-th divided by m - s (s from 0).  One stream holds the
+    spacings and one the cases, a fixed number an event, in event order.
+    """
+    r = min(_TOP, m)
+    spacings = rng.generator(IMPORTANCE_STREAM, 0).standard_exponential((n_events, r))
+    depth = np.cumsum(spacings / (m - np.arange(r)), axis=1)
+    tail = np.clip(-np.expm1(-depth), _P_LOW, _P_HIGH)
+    # Rounding must not break the order the sampling guarantees.
+    values = np.minimum.accumulate(-_ndtri(tail), axis=1) * pressure
+    # The t-th case is uniform over the m - t cases not yet taken: its
+    # draw skips each taken case, in increasing order.
+    cases = rng.generator(IMPORTANCE_STREAM, 1).integers(
+        0, m - np.arange(r), size=(n_events, r)
+    )
+    for t in range(1, r):
+        for taken in np.sort(cases[:, :t], axis=1).T:
+            cases[:, t] += cases[:, t] >= taken
+    return cases, values, np.exp(-depth[:, -1])
+
+
+class _RestStream:
+    """The uniforms behind each event's scores below its largest four: m
+    an event (those at its top cases go unused), at the event's own
+    position on one stream, so a pass draws only the events it completes
+    and an event's scores do not depend on which others were drawn."""
+
+    def __init__(self, rng: RandomSource, m: int):
+        self.gen = rng.generator(IMPORTANCE_STREAM, 2)
+        self.width = m if m > _TOP else 0
+        self.next = 0
+
+    def draw(self, events: np.ndarray) -> np.ndarray:
+        """Uniforms for ``events``, ascending and after every event drawn
+        before."""
+        out = np.empty((events.size, self.width))
+        if self.width == 0 or events.size == 0:
+            return out
+        starts = np.flatnonzero(np.diff(events, prepend=events[0] - 2) != 1).tolist()
+        for a, b in zip(starts, starts[1:] + [events.size]):
+            self.gen.bit_generator.advance(int(events[a] - self.next) * self.width)
+            out[a:b] = self.gen.random((b - a, self.width))
+            self.next = int(events[b - 1]) + 1
+        return out
+
+
+def _complete_scores(cases, values, level, uniforms, pressure: float) -> np.ndarray:
+    """Full score rows from :func:`_top_scores` and :class:`_RestStream`.
+
+    Given its largest scores, an event's other scores are independent
+    normal draws below the last of them: Phi^-1 of a uniform times the
+    CDF level, kept below it also after rounding.
+    """
+    n, r = cases.shape
+    if uniforms.shape[1] == 0:
+        out = np.empty((n, r))
+    else:
+        below = np.maximum((1.0 - uniforms) * level[:, None], _P_LOW)
+        out = _ndtri(below) * pressure
+        np.minimum(out, values[:, -1:], out=out)
+    out[np.arange(n)[:, None], cases] = values
+    return out
+
+
+# A screened pass draws its normal scores in parts only when the top
+# screen decides at least a quarter of the first this many events: each
+# event it leaves costs more to complete through Phi^-1 than to draw
+# whole, and at low pressure it leaves nearly all of them.
+_PILOT = 64
+
+
+def _decisive_top_scores(n_events: int, m: int, pressure: float, rng: RandomSource, screen):
+    """:func:`_top_scores` of every event if its first events show the
+    top screen pays, else None.  The pilot's events are drawn whatever
+    ``n_events`` is, so the choice does not depend on it."""
+    cases, values, level = _top_scores(max(n_events, _PILOT), m, pressure, rng)
+    if 4 * _top_decide(cases[:_PILOT], values[:_PILOT], screen)[0].size < _PILOT:
+        return None
+    return cases[:n_events], values[:n_events], level[:n_events]
+
+
+def _scores_in_parts(n_events: int, m: int, pressure: float, rng: RandomSource) -> np.ndarray:
+    """Every event's full normal scores in the layout :func:`dalex_select`
+    draws them in when it screens a pass, where it completes only the
+    events its top screen leaves."""
+    top = _top_scores(n_events, m, pressure, rng)
+    return _complete_scores(*top, _RestStream(rng, m).draw(np.arange(n_events)), pressure)
+
+
 def sample_importance(
     n_events: int, m: int, cfg: SelectorConfig, rng: RandomSource
 ) -> np.ndarray:
@@ -218,6 +393,10 @@ def sample_importance(
     zero; its spacing grows with the pressure, and once consecutive
     weights are further apart than the largest possible error ratio the
     induced score order decides selection exactly like lexicase.
+
+    :func:`dalex_select` draws its own normal scores in parts when it
+    screens a pass (see :func:`_scores_in_parts`): the same distribution,
+    other draws.
     """
     if n_events < 1 or m < 1:
         raise ShapeError(f"need n_events >= 1 and m >= 1, got {n_events}, {m}")
@@ -359,9 +538,18 @@ def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 _TINY32 = float(np.finfo(np.float32).tiny)
+# Below this factor the top screen drops or raises a bound's terms.
+_FLOOR = 2.0**-500
+_LOG_FLOOR = float(np.log(_FLOOR))
+# The top screen's class-wide pass takes only events whose cases past the
+# heaviest three weigh at most this much of the heaviest one each.
+_LOG_LIGHT_TAIL = float(np.log(2.0**-20))
 # The largest shifted error the screen takes: every float32 fitness and
 # threshold then stays below the float32 maximum.
 _F32_ROOM = float(np.finfo(np.float32).max) / 4
+# The float32 screen sums weighted error rows instead of taking the
+# product when at most one weight in this many is in float32 range.
+_SPARSE_SHARE = 8
 
 
 def _gamma(n: int, u: float) -> float:
@@ -369,12 +557,30 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _screen_setup(class_errors: np.ndarray):
-    """The per-pass inputs of :func:`_screen` for the shifted ``class_errors``:
-    their float32 copy, which cases have a unique best class, and the
-    bound's relative and absolute terms.  None, and a float64 pass, when
-    the errors do not fit float32, m is too large for the bound, or no
-    case has a unique best class.
+@dataclass
+class _Screen:
+    """The per-pass inputs of the screens (see :func:`_screen_setup`)."""
+
+    errors_t: np.ndarray  # the shifted errors, case major (a view)
+    unique_min: np.ndarray  # which cases have a unique best class
+    rel: float  # the float32 screen's relative term
+    absolute: float  # and its absolute term
+    best: np.ndarray  # each case's best class, where it is unique
+    runner_up: np.ndarray  # each case's least nonzero error
+    sums: np.ndarray  # each class's error sum
+    top_factor: float  # the top screen's relative factor
+    top_absolute: float  # and its absolute term
+
+    @cached_property
+    def errors32(self) -> np.ndarray:
+        """The float32 copy for the screen's products, made once a pass."""
+        return self.errors_t.astype(np.float32)
+
+
+def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
+    """The per-pass inputs of the screens for the shifted ``class_errors``.
+    None, and a float64 pass, when the errors do not fit float32, m is
+    too large for the bound, or no case has a unique best class.
 
     Let F_c be class c's exact fitness under the float64 weights, and
     g_c its float32 fitness.  Casting the weights and errors and summing
@@ -385,18 +591,120 @@ def _screen_setup(class_errors: np.ndarray):
     underflow in casts and products adds at most 2^-148 a term.  The
     float64 fitness lies within a relative gamma_m of F_c, and ties
     within ``slack``.  So every class of the float64 tie set has
-    g_c <= rel * min g + absolute, with ``rel`` and ``absolute`` below.
+    g_c <= rel * min g + absolute, with ``rel`` and ``absolute`` below,
+    whatever order the terms are summed in.
     """
     m = class_errors.shape[1]
-    top = float(class_errors.max())
-    unique_min = np.count_nonzero(class_errors == 0, axis=0) == 1
+    zero = class_errors == 0
+    at = np.flatnonzero(zero)
+    unique_min = np.bincount(at % m, minlength=m) == 1
+    top = float(class_errors.max(initial=0.0))
     if top > _F32_ROOM or (m + 4) * 2.0**-24 >= 0.5 or not unique_min.any():
         return None
     g32, g64 = _gamma(m + 4, 2.0**-24), _gamma(m, 2.0**-53)
     slack = 1.0 + 2.0 * m * np.finfo(np.float64).eps
     rel = slack * (1 + g32) / (1 - g32) * (1 + g64) / (1 - g64)
-    absolute = (rel + 1) * m * (_TINY32 * top + 2.0**-148)
-    return class_errors.astype(np.float32), unique_min, rel, absolute
+    # Where a case's best class is unique, it is the one zero's row.
+    best = np.zeros(m, dtype=np.intp)
+    best[at % m] = at // m
+    # The top screen's factor: the tie slack, gamma_m on both float64
+    # fitnesses and on the error sum, and 16 more rounding errors for
+    # exp, the softmax division and the bound's own arithmetic.  Its
+    # absolute term covers float64 underflow: at most 2^-1075 a product,
+    # m products a fitness, times a softmax denominator of at most m.
+    g = _gamma(3 * m + 16, 2.0**-53)
+    return _Screen(
+        errors_t=class_errors.T,
+        unique_min=unique_min,
+        rel=rel,
+        absolute=(rel + 1) * m * (_TINY32 * top + 2.0**-148),
+        best=best,
+        runner_up=np.min(class_errors, axis=0, where=~zero, initial=np.inf),
+        sums=class_errors.sum(axis=1),
+        top_factor=slack * (1 + g) / (1 - g),
+        top_absolute=m * m * 2.0**-1072,
+    )
+
+
+def _top_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_top_decide` on full score rows: the events it decides, and
+    their classes."""
+    j1 = scores.argmax(axis=1)
+    rows = np.flatnonzero(screen.unique_min[j1])
+    if rows.size == 0:
+        return rows, rows
+    heaviest = scores[rows]
+    at = np.arange(rows.size)
+    r = min(_TOP, scores.shape[1])
+    cases = np.empty((rows.size, r), dtype=np.intp)
+    values = np.empty((rows.size, r))
+    cases[:, 0] = j1[rows]
+    for t in range(r):
+        if t:
+            cases[:, t] = heaviest.argmax(axis=1)
+        values[:, t] = heaviest[at, cases[:, t]]
+        heaviest[at, cases[:, t]] = -np.inf
+    decided, classes = _top_decide(cases, values, screen)
+    return rows[decided], classes
+
+
+def _top_decide(cases: np.ndarray, values: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """The events decided from their heaviest cases alone, and their
+    classes, without the softmax or a product.
+
+    ``cases`` and ``values`` hold each event's r largest scores, largest
+    first, and its other scores are at most the last of them.  Let
+    z_t <= 0 be the t-th largest score minus the largest (the exponents
+    :func:`_flushed_softmax` gives those cases) and S the softmax
+    denominator.  Over the r - 1 heaviest cases, class c has
+    L_c = sum_t exp(z_t) e_ct, and every other case weighs at most
+    exp(z_r) / S, so S F_c lies between L_c and U_c = L_c + exp(z_r) E_c,
+    where E_c is c's error sum.  The float64 round marks the class a of
+    least L alone when every other class has L_c > U_a beyond the tie
+    slack and every rounding error, and S cancels.  Only events whose
+    heaviest case has a unique best class b are tried, and most are
+    decided by a first pass that needs no class-wide work: e_b1 = 0 in
+    U_b, and every other class has L_c >= e2, the runner-up's error on
+    the heaviest case.
+    """
+    errors_t, sums = screen.errors_t, screen.sums
+    factor, absolute = screen.top_factor, screen.top_absolute
+    j1 = cases[:, 0]
+    rows = np.flatnonzero(screen.unique_min[j1])
+    r = cases.shape[1]
+    # The same subtractions as the softmax's, so the same exponents.
+    z = values[rows, 1:] - values[rows, :1]
+    b = screen.best[j1[rows]]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        w = np.exp(z)
+        # U_b, with e_b1 = 0.  An overflowing error sum makes it inf (or
+        # nan when the exponent underflows to 0); neither decides.
+        upper = w[:, -1] * sums[b] if r > 1 else np.zeros(rows.size)
+        for t in range(1, r - 1):
+            upper += w[:, t - 1] * errors_t[cases[rows, t], b]
+        alone = screen.runner_up[j1[rows]] > factor * upper + absolute
+        decided, classes = [rows[alone]], [b[alone]]
+        # The class-wide pass costs about as much as a product row, and
+        # a heavy tail leaves it nothing to prove.
+        left = np.flatnonzero(~alone & (z[:, -1] < _LOG_LIGHT_TAIL)) if r > 1 else []
+        if len(left):
+            events = rows[left]
+            lower = errors_t[cases[events, 0]]
+            for t in range(1, r - 1):
+                # Subnormal factors would slow the class-wide products
+                # down a hundredfold; dropping a term keeps L a lower
+                # bound, and raising the last exponent keeps U an upper one.
+                wt = w[left, t - 1]
+                wt[wt < _FLOOR] = 0.0
+                lower += wt[:, None] * errors_t[cases[events, t]]
+            tail = np.exp(np.maximum(z[left, -1], _LOG_FLOOR))
+            # The class of least L, and its U.
+            a = lower.argmin(axis=1)
+            bound = factor * (lower[np.arange(left.size), a] + tail * sums[a]) + absolute
+            only = np.count_nonzero(lower > bound[:, None], axis=1) == lower.shape[1] - 1
+            decided.append(events[only])
+            classes.append(a[only])
+    return np.concatenate(decided), np.concatenate(classes)
 
 
 def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
@@ -404,15 +712,24 @@ def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndar
     and each row's best class: the classes whose float32 fitness is
     within the bound of :func:`_screen_setup` of the row's least.  They
     hold every class the float64 round would mark."""
-    errors32, _, rel, absolute = screen
     w32 = weights.astype(np.float32)
     # Subnormal weights would slow the product down tenfold.
     w32[w32 < _TINY32] = 0.0
-    fitness = w32 @ errors32.T
+    if np.count_nonzero(w32) * _SPARSE_SHARE <= w32.size:
+        # High pressure leaves a few weights a row in float32 range: sum
+        # the weighted error rows of those cases instead of a product,
+        # which also stays off the BLAS threads.  Every row keeps its
+        # heaviest weight, at least 1 / m.
+        rows, cases = np.nonzero(w32)
+        terms = screen.errors_t[cases].astype(np.float32) * w32[rows, cases][:, None]
+        fitness = np.add.reduceat(terms, np.searchsorted(rows, np.arange(w32.shape[0])), axis=0)
+    else:
+        fitness = w32 @ screen.errors32
     best = fitness.argmin(axis=1)
     low = fitness[np.arange(best.size), best].astype(np.float64)
     # Rounded to float32, then up one ulp, the bound can only grow.
-    bound = np.nextafter((low * rel + absolute).astype(np.float32), np.float32(np.inf))
+    bound = low * screen.rel + screen.absolute
+    bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
     return fitness <= bound[:, None], best
 
 
@@ -424,7 +741,7 @@ def _screen(weights: np.ndarray, scores: np.ndarray, screen) -> tuple[np.ndarray
     screen would only add its product to the float64 one.  An event with
     one candidate is decided.
     """
-    rows = np.flatnonzero(screen[1][scores.argmax(axis=1)])
+    rows = np.flatnonzero(screen.unique_min[scores.argmax(axis=1)])
     if rows.size == 0:
         return rows, rows
     candidates, best = _screen_candidates(weights[rows], screen)
@@ -435,7 +752,9 @@ def _screen(weights: np.ndarray, scores: np.ndarray, screen) -> tuple[np.ndarray
     return rows[alone], best[alone]
 
 
-def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.ndarray:
+def _cascade(
+    scores: np.ndarray, class_errors: np.ndarray, screen=None, top: bool = True
+) -> np.ndarray:
     """Mark, per event, the classes of least softmax-weighted mean error,
     faithful to the real-valued computation across the full pressure
     range.
@@ -465,22 +784,36 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.nd
     worse loses in a later round, once the agreed cases are gone, unless
     it differs from the others only below float resolution.
 
-    ``screen``, from :func:`_screen_setup`, lets a float32 product
-    (:func:`_screen`) decide the events whose float64 tie set it proves
-    to be one class; the others take the float64 round.
+    ``screen``, from :func:`_screen_setup`, lets two screens decide the
+    events whose float64 tie set they prove to be one class: first
+    :func:`_top_screen` from the heaviest cases (unless ``top`` is
+    False, for rows it has seen), then a float32 product
+    (:func:`_screen`) for the events it leaves.  The others take the
+    float64 round, and only their weights are computed.
     """
     n = scores.shape[0]
     slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
-    weights = _flushed_softmax(scores)
     if screen is None:
         rest = np.arange(n)
+        weights = _flushed_softmax(scores)
     else:
-        rows, best = _screen(weights, scores, screen)
+        if top:
+            rows, best = _top_screen(scores, screen)
+        else:
+            rows = best = np.empty(0, dtype=np.intp)
         rest = np.delete(np.arange(n), rows)
+        if rest.size:
+            weights = _flushed_softmax(scores[rest])
+            more, more_best = _screen(weights, scores[rest], screen)
+            rows = np.concatenate([rows, rest[more]])
+            best = np.concatenate([best, more_best])
+            rest = np.delete(rest, more)
+            weights = np.delete(weights, more, axis=0)
         if rest.size == 1 and n > 1:
             # A one-row product rounds differently (see _event_blocks); a
             # decided row keeps it a matrix product and gets the same mark.
             rest = np.sort(np.append(rest, 1 if rest[0] == 0 else 0))
+            weights = _flushed_softmax(scores[rest])
     if rest.size == n:
         fitness = weights @ class_errors.T
         tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
@@ -494,7 +827,7 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.nd
             # within m * eps / 2 of the exact fitness, well inside the tie
             # slack, so the marks differ only where a class sits within
             # those ulps of the slack's edge.
-            fitness = weights[rest] @ class_errors.T
+            fitness = weights @ class_errors.T
             tied[rest] = fitness <= fitness.min(axis=1, keepdims=True) * slack
     # Every event marks its best class; as many marks as events is one each.
     if np.count_nonzero(tied) == n:
@@ -558,36 +891,37 @@ def dalex_select(
 
     ``importance`` lets callers inject pre-drawn scores (shape
     ``(n_events, m)``); by default scores come from
-    :func:`sample_importance`.
+    :func:`sample_importance`, or, for normal scores on a pass the screens
+    can work on, the same scores drawn in parts: each event's four
+    largest first, the rest only for the events the top screen leaves.
 
     Events run in blocks (:data:`_BLOCK_ENTRIES`), so memory grows with
-    the block size times k, not with ``n_events``; the scores and one
-    tie-break uniform per event are drawn up front, so each event's pick
-    does not depend on how many events run with it.  With full support,
-    aggregation runs through a tie-resolving cascade (:func:`_cascade`)
-    so that high pressure yields the lexicographic order the weights
-    encode instead of float64 round-off noise; a float32 screen decides
-    the events whose winner it can prove, with the same picks as the
-    float64 round (:func:`_screen_setup`).  Partial support keeps the
-    single-pass computation: dividing by per-class support mass leaves no
-    exact cancellation to exploit.
+    the block size times k, not with ``n_events``; each event's scores
+    and tie-break uniform sit at fixed positions on their streams, so its
+    pick does not depend on how many events run with it.  With full
+    support, aggregation runs through a tie-resolving cascade
+    (:func:`_cascade`) so that high pressure yields the lexicographic
+    order the weights encode instead of float64 round-off noise; two
+    screens decide the events whose winner they can prove, with the same
+    picks as the float64 round: one from the heaviest cases alone
+    (:func:`_top_decide`), then a float32 product (:func:`_screen_setup`).
+    Partial support keeps the single-pass computation: dividing by
+    per-class support mass leaves no exact cancellation to exploit.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
     class_errors = classing.class_errors
     if cfg.relaxed:
         class_errors = standardize_per_case(class_errors, classing.sizes)
-    if importance is None:
-        importance = sample_importance(n_events, classing.m, cfg, rng)
-    else:
+    if importance is not None:
         importance = np.asarray(importance, dtype=np.float64)
         if importance.shape != (n_events, classing.m):
             raise ShapeError(
                 f"importance shape {importance.shape} does not match "
                 f"({n_events}, {classing.m})"
             )
-    u = rng.generator(TIEBREAK_STREAM).random(n_events)
     full_support = classing.full_support
+    screen = None
     if full_support:
         class_errors = _shifted_errors(class_errors)
         screen = _screen_setup(class_errors)
@@ -597,14 +931,41 @@ def dalex_select(
             class_support=classing.class_support,
             members=classing.members,
         )
+    top = None
+    if importance is None and screen is not None and cfg.distribution == "normal":
+        top = _decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)
+    in_parts = top is not None
+    if in_parts:
+        cases, values, level = top
+        rest = _RestStream(rng, classing.m)
+    elif importance is None:
+        importance = sample_importance(n_events, classing.m, cfg, rng)
+    u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
     for lo, hi in _event_blocks(n_events, classing.k):
-        if full_support:
+        if in_parts:
+            rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
+            picks[lo + rows] = classes
+            left = lo + np.delete(np.arange(hi - lo), rows)
+            events = left
+            if left.size == 1 and hi - lo > 1:
+                # Two rows keep the float64 round a matrix product, as a
+                # block of full rows would (see _event_blocks).
+                events = np.sort(np.append(left, lo if left[0] != lo else lo + 1))
+            if events.size:
+                scores = _complete_scores(
+                    cases[events], values[events], level[events], rest.draw(events), cfg.pressure
+                )
+                marked = _cascade(scores, class_errors, screen, top=False)
+                chosen = _pick_marked(marked, u[events])
+                picks[left] = chosen[np.isin(events, left)]
+        elif full_support:
             marked = _cascade(importance[lo:hi], class_errors, screen)
+            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
         else:
             fitness = weighted_fitness(classing, softmax_rows(importance[lo:hi]))
             marked = fitness == fitness.min(axis=1, keepdims=True)
-        picks[lo:hi] = _pick_marked(marked, u[lo:hi])
+            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
     return picks
 
 

@@ -134,6 +134,61 @@ class TestSampleImportance:
             sample_importance(0, 5, cfg, RandomSource(0))
 
 
+class TestScoresInParts:
+    """Normal scores drawn in parts: the four largest first, the rest per
+    event on demand."""
+
+    def test_ndtri_matches_the_normal_quantile(self):
+        tails = [1e-300, 1e-100, 1e-20, 1e-5, 0.025, 0.075, 0.5, 0.925, 0.975, 1 - 1e-12]
+        p = np.concatenate([tails, np.random.default_rng(60).random(500)])
+        expected = np.array([statistics.NormalDist().inv_cdf(x) for x in p])
+        np.testing.assert_allclose(selectors._ndtri(p), expected, rtol=1e-14, atol=1e-300)
+        # Elementwise: a value does not depend on the array around it.
+        grid = p.reshape(51, 10)
+        np.testing.assert_array_equal(selectors._ndtri(grid)[7], selectors._ndtri(grid[7]))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 5, 30])
+    def test_scores_are_independent_normals(self, m):
+        n, pressure = 20_000, 3.0
+        scores = selectors._scores_in_parts(n, m, pressure, RandomSource(61))
+        assert scores.shape == (n, m) and np.isfinite(scores).all()
+        # Every case is a normal draw of the pressure's spread ...
+        assert np.abs(scores.mean(axis=0)).max() < 5 * pressure / np.sqrt(n)
+        assert np.abs(scores.std(axis=0) / pressure - 1).max() < 0.04
+        # ... the largest of the m is below that maximum's median half
+        # the time, and falls on every case alike ...
+        median_max = pressure * statistics.NormalDist().inv_cdf(0.5 ** (1 / m))
+        assert abs((scores.max(axis=1) < median_max).mean() - 0.5) < 0.02
+        counts = np.bincount(scores.argmax(axis=1), minlength=m)
+        assert np.abs(counts / (n / m) - 1).max() < 6 / np.sqrt(n / m)
+        # ... and cases are uncorrelated.
+        if m > 1:
+            corr = np.corrcoef(scores.T)
+            assert np.abs(corr[~np.eye(m, dtype=bool)]).max() < 0.04
+
+    def test_scores_do_not_depend_on_the_event_count(self):
+        full = selectors._scores_in_parts(90, 12, 5.0, RandomSource(62))
+        for n in (1, 2, 31):
+            np.testing.assert_array_equal(
+                selectors._scores_in_parts(n, 12, 5.0, RandomSource(62)), full[:n]
+            )
+
+    def test_rest_stays_below_the_last_top_score(self):
+        # A uniform of 0 puts a rest score at the fourth largest's CDF
+        # level; computed another way, it may round above it.
+        cases, values, level = selectors._top_scores(5000, 9, 1.0, RandomSource(73))
+        scores = selectors._complete_scores(cases, values, level, np.zeros((5000, 9)), 1.0)
+        rest = np.ones((5000, 9), dtype=bool)
+        rest[np.arange(5000)[:, None], cases] = False
+        assert (scores[rest].reshape(5000, 5) <= values[:, -1:]).all()
+
+    def test_rest_stream_draws_any_subset_of_events(self):
+        whole = selectors._RestStream(RandomSource(63), 9).draw(np.arange(40))
+        stream = selectors._RestStream(RandomSource(63), 9)
+        for events in ([0, 1], [5], [7, 8, 9, 20], [39]):
+            np.testing.assert_array_equal(stream.draw(np.array(events)), whole[events])
+
+
 class TestSoftmaxRows:
     def test_hand_example(self):
         out = softmax_rows([[0.0, np.log(2.0)]])
@@ -408,6 +463,21 @@ def screen_matrices():
     }
 
 
+def dalex_scores(shifted, n_events, cfg, rng):
+    """The importance scores ``dalex_select`` draws on the ``shifted``
+    errors, every event complete: normal scores on a pass the top screen
+    pays on are drawn in parts."""
+    screen = selectors._screen_setup(shifted)
+    m = shifted.shape[1]
+    if (
+        cfg.distribution == "normal"
+        and screen is not None
+        and selectors._decisive_top_scores(n_events, m, cfg.pressure, rng, screen)
+    ):
+        return selectors._scores_in_parts(n_events, m, cfg.pressure, rng)
+    return sample_importance(n_events, m, cfg, rng)
+
+
 def float64_cascade_picks(classing, n_events, cfg, rng):
     """``dalex_select``'s picks with every event through the float64
     round of the cascade, no screen."""
@@ -415,7 +485,7 @@ def float64_cascade_picks(classing, n_events, cfg, rng):
     if cfg.relaxed:
         errors = standardize_per_case(errors, classing.sizes)
     errors = selectors._shifted_errors(errors)
-    importance = sample_importance(n_events, classing.m, cfg, rng)
+    importance = dalex_scores(errors, n_events, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
     for lo, hi in selectors._event_blocks(n_events, classing.k):
@@ -457,7 +527,7 @@ class TestFloat32Screen:
         importance = sample_importance(
             4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(47)
         )
-        routed = screen[1][importance[lo:hi].argmax(axis=1)]
+        routed = screen.unique_min[importance[lo:hi].argmax(axis=1)]
         assert routed.any() and not routed.all()
 
     def test_small_float64_remainder_keeps_the_picks(self):
@@ -548,6 +618,139 @@ class TestFloat32Screen:
                 tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
                 candidates, _ = selectors._screen_candidates(weights, screen)
                 assert not (tied & ~candidates).any()
+
+
+class TestTopScreen:
+    """The screen that decides events from their heaviest cases alone."""
+
+    def matrices(self):
+        rng = np.random.default_rng(64)
+        base = rng.random((1, 12))
+        # Classes a few ulps apart, the first a unique best on every case.
+        near = base + base * np.finfo(float).eps * rng.integers(1, 5, (30, 12))
+        near[0] = base
+        return [
+            *screen_matrices().values(),
+            near,
+            # Cases scaled from 1e-300 to 1e30.
+            rng.random((50, 8)) * 10.0 ** rng.uniform(-300, 30, 8),
+            # Rank-like errors, as in the acceptance benchmark.
+            np.argsort(rng.random((300, 40)), axis=0) + rng.random((300, 40)) * 0.5,
+            rng.random((40, 1)),
+            rng.random((40, 2)),
+            rng.random((40, 4)),
+        ]
+
+    @pytest.mark.parametrize("pressure", [2.0, 20.0, 200.0, 2000.0])
+    def test_decided_events_hold_for_any_completion(self, pressure):
+        # The screen sees only the four largest scores; whatever the
+        # others are below them, the float64 round marks the decided class
+        # alone.
+        decided_any = 0
+        for errors in self.matrices():
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            screen = selectors._screen_setup(shifted)
+            assert screen is not None
+            m, n = shifted.shape[1], 400
+            cases, values, level = selectors._top_scores(n, m, pressure, RandomSource(65))
+            rows, classes = selectors._top_decide(cases, values, screen)
+            decided_any += rows.size
+            for seed in (66, 67):
+                uniforms = selectors._RestStream(RandomSource(seed), m).draw(np.arange(n))
+                scores = selectors._complete_scores(cases, values, level, uniforms, pressure)
+                marked = selectors._cascade(scores, shifted)
+                expected = np.zeros_like(marked[rows])
+                expected[np.arange(rows.size), classes] = True
+                np.testing.assert_array_equal(marked[rows], expected)
+        assert decided_any > 0
+
+    @pytest.mark.parametrize("distribution", ["normal", "uniform", "shuffled_range"])
+    def test_full_rows_agree_with_the_float64_round(self, distribution):
+        for errors in self.matrices():
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            screen = selectors._screen_setup(shifted)
+            for pressure in (20.0, 2000.0):
+                cfg = SelectorConfig("dalex", pressure=pressure, distribution=distribution)
+                scores = sample_importance(300, shifted.shape[1], cfg, RandomSource(68))
+                rows, classes = selectors._top_screen(scores, screen)
+                marked = selectors._cascade(scores, shifted)
+                assert marked[rows].sum(axis=1).max(initial=1) == 1
+                np.testing.assert_array_equal(marked[rows, classes], True)
+
+    def assert_decisions_match_float64_round(self, errors, scores):
+        shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+        rows, classes = selectors._top_screen(scores, selectors._screen_setup(shifted))
+        marked = selectors._cascade(scores, shifted)
+        expected = np.zeros_like(marked[rows])
+        expected[np.arange(rows.size), classes] = True
+        np.testing.assert_array_equal(marked[rows], expected)
+
+    def test_classes_tied_within_the_slack_stay_undecided(self):
+        # Class 1 is worse than class 0 by 1-3 ulps: the float64 round
+        # marks both, so the screen must not decide for class 0.
+        for ulps in (1, 2, 3):
+            delta = np.exp(-1.0) * (1 + ulps * 2.0**-52)
+            errors = np.array([[0.0, 1.0], [delta, 0.0]])
+            scores = np.array([[0.0, -1.0], [0.0, -1.0]])
+            self.assert_decisions_match_float64_round(errors, scores)
+
+    def test_flushed_weights_do_not_count_toward_a_decision(self):
+        # The second case's weight is below float64 tiny, so the float64
+        # round gives class 0 fitness 0; counted, it would make class 1
+        # look better.
+        errors = np.array([[0.0, 1e30, 0.0], [1e-280, 0.0, 0.0]])
+        scores = np.array([[0.0, -710.0, -800.0], [0.0, -710.0, -800.0]])
+        self.assert_decisions_match_float64_round(errors, scores)
+
+    def test_most_distinct_events_skip_the_rest_of_their_scores(self):
+        errors = np.argsort(np.random.default_rng(69).random((1000, 200)), axis=0)
+        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)
+        screen = selectors._screen_setup(shifted)
+        cases, values, _ = selectors._top_scores(1000, 200, 200.0, RandomSource(70))
+        rows, _ = selectors._top_decide(cases, values, screen)
+        assert rows.size > 980
+
+    def test_picks_do_not_depend_on_event_count_or_blocks(self, monkeypatch):
+        classing = build_classes(screen_matrices()["mixed"])
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        assert selectors._decisive_top_scores(1, classing.m, 200.0, RandomSource(71), screen)
+        full = dalex_select(classing, 3 * 420 + 2, cfg, RandomSource(71))
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 420 * classing.k)
+        for n in (1, 2, 419, 3 * 420 + 2):
+            np.testing.assert_array_equal(
+                dalex_select(classing, n, cfg, RandomSource(71)), full[:n]
+            )
+
+    def test_drawn_picks_equal_picks_from_injected_scores(self):
+        in_parts = set()
+        for name, errors in screen_matrices().items():
+            classing = build_classes(errors)
+            shifted = selectors._shifted_errors(classing.class_errors)
+            for pressure in (2.0, 200.0):
+                cfg = SelectorConfig("dalex", pressure=pressure)
+                scores = dalex_scores(shifted, 500, cfg, RandomSource(72))
+                np.testing.assert_array_equal(
+                    dalex_select(classing, 500, cfg, RandomSource(72)),
+                    dalex_select(classing, 500, cfg, RandomSource(72), importance=scores),
+                    err_msg=f"{name} {pressure}",
+                )
+                screen = selectors._screen_setup(shifted)
+                top = selectors._decisive_top_scores(500, classing.m, pressure, RandomSource(72), screen)
+                in_parts.add(top is not None)
+        # Both layouts ran.
+        assert in_parts == {False, True}
+
+    def test_pilot_choice_does_not_depend_on_event_count(self):
+        classing = build_classes(screen_matrices()["distinct"])
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        for pressure in (2.0, 20.0, 200.0):
+            chosen = {
+                selectors._decisive_top_scores(n, classing.m, pressure, RandomSource(74), screen)
+                is not None
+                for n in (1, 5, selectors._PILOT, 300)
+            }
+            assert len(chosen) == 1
 
 
 class TestLexicaseSelect:
