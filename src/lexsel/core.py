@@ -113,7 +113,7 @@ class RandomSource:
 
 
 def as_error_matrix(values) -> np.ndarray:
-    """Validate and return an (n, m) float64 error matrix.
+    """Validate and return a fresh C-ordered (n, m) float64 error matrix.
 
     Raises
     ------
@@ -129,26 +129,28 @@ def as_error_matrix(values) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ShapeError("error matrix contains non-finite entries")
     # Adding 0.0 maps -0.0 to +0.0 so byte-level row grouping agrees with
-    # numeric equality.
-    return arr + 0.0
+    # numeric equality; C order lets grouping view each row as one value.
+    return np.add(arr, 0.0, order="C")
 
 
 def as_support_matrix(support, errors: np.ndarray) -> np.ndarray:
     """Validate a binary support matrix against its error matrix.
 
     Every row must cover at least one case, and error entries must be
-    exactly zero wherever support is zero.
+    exactly zero wherever support is zero.  Returns a fresh C-ordered
+    float64 copy, so later changes to ``support`` do not reach it.
     """
-    sup = np.asarray(support, dtype=np.float64)
+    sup = np.array(support, dtype=np.float64, order="C")
     if sup.shape != errors.shape:
         raise ShapeError(
             f"support shape {sup.shape} does not match error shape {errors.shape}"
         )
-    if not np.isin(sup, (0.0, 1.0)).all():
+    undefined = sup == 0.0
+    if not (undefined | (sup == 1.0)).all():
         raise ShapeError("support matrix entries must be 0 or 1")
-    if not sup.any(axis=1).all():
+    if undefined.all(axis=1).any():
         raise ShapeError("every individual must be defined on at least one case")
-    if np.any((sup == 0.0) & (errors != 0.0)):
+    if np.any(undefined & (errors != 0.0)):
         raise ShapeError("error entries must be exactly 0 where support is 0")
     return sup
 
@@ -157,16 +159,19 @@ def as_support_matrix(support, errors: np.ndarray) -> np.ndarray:
 class EquivalenceClassing:
     """Distinct (error row, support row) pairs of a population.
 
-    ``class_errors`` and ``class_support`` have one row per class in
-    first-occurrence order; ``members[c]`` lists the individual indices
-    collapsed into class ``c``.  ``sizes`` and ``full_support`` are
-    computed on first access and cached; ``sizes`` is read-only because
-    every caller shares it.
+    ``class_errors`` and ``class_support`` have one C-ordered row per
+    class, in order of first occurrence.  ``inverse[i]`` is the class of
+    individual ``i`` and ``counts[c]`` the number of individuals in class
+    ``c``; both are read-only because every caller shares them.  With
+    full support ``class_support`` may be a read-only broadcast of ones.
+    ``full_support`` and the member order used by expansion are computed
+    on first access and cached.
     """
 
     class_errors: np.ndarray
     class_support: np.ndarray
-    members: tuple[np.ndarray, ...]
+    inverse: np.ndarray
+    counts: np.ndarray
 
     @property
     def k(self) -> int:
@@ -178,52 +183,92 @@ class EquivalenceClassing:
 
     @property
     def n(self) -> int:
-        return sum(len(g) for g in self.members)
+        return self.inverse.size
 
-    @cached_property
+    @property
     def sizes(self) -> np.ndarray:
-        sizes = np.array([len(g) for g in self.members], dtype=np.int64)
-        sizes.flags.writeable = False
-        return sizes
+        """Member count of each class (the same array as ``counts``)."""
+        return self.counts
 
     @cached_property
     def full_support(self) -> bool:
         return bool((self.class_support == 1.0).all())
 
+    @cached_property
+    def member_order(self) -> np.ndarray:
+        """Individuals sorted by class, ascending within each class."""
+        order = np.argsort(self.inverse, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Each class's individuals, ascending; one array per class."""
+        return tuple(np.split(self.member_order, np.cumsum(self.counts)[:-1]))
+
     def class_of(self) -> np.ndarray:
-        """Return the class index of each individual."""
-        out = np.empty(self.n, dtype=np.int64)
-        for c, group in enumerate(self.members):
-            out[group] = c
-        return out
+        """Return the class index of each individual (``inverse``)."""
+        return self.inverse
+
+
+def _group_rows(keyed: np.ndarray):
+    """Class of each row of a C-ordered matrix, classes numbered in order
+    of first occurrence, and the first row of each class (None when every
+    row is its own class).
+
+    Each row is viewed as one opaque value, so a stable sort brings equal
+    rows together in ascending index order and a run's head is its first
+    occurrence.
+    """
+    n = keyed.shape[0]
+    rows = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    head[1:] = ordered[1:] != ordered[:-1]
+    firsts = order[head]
+    if firsts.size == n:
+        return np.arange(n, dtype=np.int64), None
+    rank = np.argsort(firsts)
+    run_class = np.empty(firsts.size, dtype=np.int64)
+    run_class[rank] = np.arange(firsts.size)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = run_class[np.cumsum(head) - 1]
+    return inverse, firsts[rank]
+
+
+def _classing(E: np.ndarray, S: np.ndarray | None, inverse: np.ndarray) -> EquivalenceClassing:
+    """The classing of fresh class rows ``E`` and ``S`` (full support when
+    None: a read-only broadcast of ones) and each individual's class."""
+    k, m = E.shape
+    counts = np.bincount(inverse, minlength=k)
+    inverse.flags.writeable = False
+    counts.flags.writeable = False
+    if S is None:
+        S = np.broadcast_to(np.ones(1), (k, m))
+    return EquivalenceClassing(E, S, inverse, counts)
 
 
 def build_classes(errors, support=None) -> EquivalenceClassing:
     """Group individuals with identical (error row, support row) pairs.
 
     Classes appear in order of first occurrence.  With ``support=None``
-    all individuals are treated as defined on every case.
+    all individuals are treated as defined on every case.  The classing
+    holds its own copies: later changes to ``errors`` or ``support`` do
+    not reach it.
     """
     E = as_error_matrix(errors)
-    n, m = E.shape
-    if support is None:
-        S = np.ones((n, m), dtype=np.float64)
-        keyed = np.ascontiguousarray(E)
-    else:
-        S = as_support_matrix(support, E)
-        keyed = np.ascontiguousarray(np.concatenate([E, S], axis=1))
-
-    groups: dict[bytes, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(keyed[i].tobytes(), []).append(i)
-
-    members = tuple(np.array(g, dtype=np.int64) for g in groups.values())
-    firsts = np.array([g[0] for g in members], dtype=np.int64)
-    return EquivalenceClassing(
-        class_errors=E[firsts].copy(),
-        class_support=S[firsts].copy(),
-        members=members,
-    )
+    S = None if support is None else as_support_matrix(support, E)
+    # Errors are finite and exactly 0 where support is 0, so E / S keeps
+    # every defined error and puts the same NaN (0 / 0) at every undefined
+    # entry: one key row per (error row, support row) pair.
+    with np.errstate(invalid="ignore"):
+        inverse, firsts = _group_rows(E if S is None else E / S)
+    if firsts is not None:
+        E = E[firsts]
+        S = None if S is None else S[firsts]
+    return _classing(E, S, inverse)
 
 
 def singleton_classes(errors, support=None) -> EquivalenceClassing:
@@ -233,10 +278,8 @@ def singleton_classes(errors, support=None) -> EquivalenceClassing:
     that grouping leaves its selection distribution unchanged.
     """
     E = as_error_matrix(errors)
-    n, m = E.shape
-    S = np.ones((n, m), dtype=np.float64) if support is None else as_support_matrix(support, E)
-    members = tuple(np.array([i], dtype=np.int64) for i in range(n))
-    return EquivalenceClassing(class_errors=E.copy(), class_support=S.copy(), members=members)
+    S = None if support is None else as_support_matrix(support, E)
+    return _classing(E, S, np.arange(E.shape[0], dtype=np.int64))
 
 
 def expand_class_selection(
@@ -255,12 +298,11 @@ def expand_class_selection(
     if picks.size == 0:
         return np.empty(0, dtype=np.int64)
 
-    sizes = classing.sizes
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    flat = np.concatenate(classing.members)
+    counts = classing.counts
+    starts = np.cumsum(counts) - counts
     gen = rng.generator(EXPAND_STREAM)
-    offsets = gen.integers(0, sizes[picks])
-    return flat[starts[picks] + offsets]
+    offsets = gen.integers(0, counts[picks])
+    return classing.member_order[starts[picks] + offsets]
 
 
 def _moments(E: np.ndarray, w: np.ndarray, total: float):

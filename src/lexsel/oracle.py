@@ -226,7 +226,4 @@ def distribution_over_individuals(
         raise ShapeError(
             f"distribution length {dist.probs.shape} does not match k={classing.k}"
         )
-    out = np.empty(classing.n, dtype=np.float64)
-    for c, group in enumerate(classing.members):
-        out[group] = dist.probs[c] / len(group)
-    return out
+    return (dist.probs / classing.counts)[classing.inverse]

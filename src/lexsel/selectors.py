@@ -22,7 +22,7 @@ and the survival tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
@@ -297,17 +297,26 @@ def _top_scores(n_events: int, m: int, pressure: float, rng: RandomSource):
     spacings, the s-th divided by m - s (s from 0).  One stream holds the
     spacings and one the cases, a fixed number an event, in event order.
     """
+    return _draw_top_scores(_top_streams(rng), n_events, m, pressure)
+
+
+def _top_streams(rng: RandomSource):
+    """The spacing and case generators of :func:`_top_scores`."""
+    return rng.generator(IMPORTANCE_STREAM, 0), rng.generator(IMPORTANCE_STREAM, 1)
+
+
+def _draw_top_scores(streams, n_events: int, m: int, pressure: float):
+    """:func:`_top_scores` of the next ``n_events`` events on ``streams``;
+    successive calls continue where the last stopped."""
     r = min(_TOP, m)
-    spacings = rng.generator(IMPORTANCE_STREAM, 0).standard_exponential((n_events, r))
+    spacings = streams[0].standard_exponential((n_events, r))
     depth = np.cumsum(spacings / (m - np.arange(r)), axis=1)
     tail = np.clip(-np.expm1(-depth), _P_LOW, _P_HIGH)
     # Rounding must not break the order the sampling guarantees.
     values = np.minimum.accumulate(-_ndtri(tail), axis=1) * pressure
     # The t-th case is uniform over the m - t cases not yet taken: its
     # draw skips each taken case, in increasing order.
-    cases = rng.generator(IMPORTANCE_STREAM, 1).integers(
-        0, m - np.arange(r), size=(n_events, r)
-    )
+    cases = streams[1].integers(0, m - np.arange(r), size=(n_events, r))
     for t in range(1, r):
         for taken in np.sort(cases[:, :t], axis=1).T:
             cases[:, t] += cases[:, t] >= taken
@@ -367,11 +376,16 @@ _PILOT = 64
 def _decisive_top_scores(n_events: int, m: int, pressure: float, rng: RandomSource, screen):
     """:func:`_top_scores` of every event if its first events show the
     top screen pays, else None.  The pilot's events are drawn whatever
-    ``n_events`` is, so the choice does not depend on it."""
-    cases, values, level = _top_scores(max(n_events, _PILOT), m, pressure, rng)
-    if 4 * _top_decide(cases[:_PILOT], values[:_PILOT], screen)[0].size < _PILOT:
+    ``n_events`` is, so the choice does not depend on it, and the other
+    events only once it accepts."""
+    streams = _top_streams(rng)
+    top = _draw_top_scores(streams, _PILOT, m, pressure)
+    if 4 * _top_decide(top[0], top[1], screen)[0].size < _PILOT:
         return None
-    return cases[:n_events], values[:n_events], level[:n_events]
+    if n_events > _PILOT:
+        rest = _draw_top_scores(streams, n_events - _PILOT, m, pressure)
+        top = [np.concatenate(pair) for pair in zip(top, rest)]
+    return tuple(part[:n_events] for part in top)
 
 
 def _scores_in_parts(n_events: int, m: int, pressure: float, rng: RandomSource) -> np.ndarray:
@@ -926,11 +940,7 @@ def dalex_select(
         class_errors = _shifted_errors(class_errors)
         screen = _screen_setup(class_errors)
     elif class_errors is not classing.class_errors:
-        classing = EquivalenceClassing(
-            class_errors=class_errors,
-            class_support=classing.class_support,
-            members=classing.members,
-        )
+        classing = replace(classing, class_errors=class_errors)
     top = None
     if importance is None and screen is not None and cfg.distribution == "normal":
         top = _decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lexsel.core import (
+    EXPAND_STREAM,
     RandomSource,
     build_classes,
     expand_class_selection,
@@ -33,6 +34,53 @@ def pairwise_grouping(errors, support):
         else:
             groups.append([i])
     return groups
+
+
+def dict_grouping(errors, support=None):
+    """Reference grouping: one dict entry per distinct row's bytes, filled
+    in index order.  Returns (members, class errors, class support)."""
+    E = np.asarray(errors, dtype=np.float64) + 0.0
+    S = np.ones_like(E) if support is None else np.asarray(support, dtype=np.float64)
+    keyed = np.ascontiguousarray(np.concatenate([E, S], axis=1))
+    groups = {}
+    for i in range(len(keyed)):
+        groups.setdefault(keyed[i].tobytes(), []).append(i)
+    members = [np.array(g, dtype=np.int64) for g in groups.values()]
+    firsts = [g[0] for g in members]
+    return members, E[firsts], S[firsts]
+
+
+def members_expansion(members, picks, rng):
+    """Reference expansion over a concatenation of member lists."""
+    sizes = np.array([len(g) for g in members], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    offsets = rng.generator(EXPAND_STREAM).integers(0, sizes[picks])
+    return np.concatenate(members)[starts[picks] + offsets]
+
+
+def grouping_instances():
+    """(name, errors, support) cases that stress grouping."""
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 3, (7, 5)).astype(float)
+    shuffled = base[rng.integers(0, 7, 40)]
+    support = (rng.random((7, 5)) < 0.6).astype(float)
+    support[:, 0] = 1.0
+    partial = (base * support)[np.r_[0:7, 6::-1, 2, 2]]
+    partial_support = support[np.r_[0:7, 6::-1, 2, 2]]
+    wide = rng.random((9, 30))
+    yield "shuffled duplicates", shuffled, None
+    yield "shuffled duplicates, partial", partial, partial_support
+    yield "equal errors, unequal support", np.zeros((4, 3)), np.array(
+        [[1, 1, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float
+    )
+    yield "signed zeros", np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]]), None
+    yield "F-ordered", np.asfortranarray(shuffled), None
+    yield "column-permuted", shuffled[:, rng.permutation(5)], None
+    yield "non-contiguous", np.repeat(wide, 2, axis=0)[::3, ::2], None
+    yield "n = 1", np.array([[3.0, -1.0, 2.0]]), None
+    yield "k = 1", np.tile([[1.5, 0.0, 2.0]], (6, 1)), None
+    yield "k = 1, partial", np.tile([[1.5, 0.0, 2.0]], (6, 1)), np.tile([[1.0, 0.0, 1.0]], (6, 1))
+    yield "all distinct", wide, None
 
 
 class TestRandomSource:
@@ -113,6 +161,47 @@ class TestBuildClasses:
             expected = pairwise_grouping(errors, support)
             classing = build_classes(errors, support)
             assert [g.tolist() for g in classing.members] == expected
+
+    @pytest.mark.parametrize(
+        "errors, support", [case[1:] for case in grouping_instances()],
+        ids=[case[0] for case in grouping_instances()],
+    )
+    def test_matches_dict_grouping(self, errors, support):
+        members, class_errors, class_support = dict_grouping(errors, support)
+        classing = build_classes(errors, support)
+        assert [g.tolist() for g in classing.members] == [g.tolist() for g in members]
+        np.testing.assert_array_equal(classing.class_errors, class_errors)
+        np.testing.assert_array_equal(classing.class_support, class_support)
+        np.testing.assert_array_equal(classing.counts, [len(g) for g in members])
+        for c, group in enumerate(members):
+            assert (classing.class_of()[group] == c).all()
+        assert classing.class_errors.flags.c_contiguous
+        assert classing.n == len(errors)
+        picks = np.random.default_rng(3).integers(0, classing.k, 500)
+        np.testing.assert_array_equal(
+            expand_class_selection(classing, picks, RandomSource(8)),
+            members_expansion(members, picks, RandomSource(8)),
+        )
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_later_input_changes_do_not_reach_classing(self, duplicates):
+        rng = np.random.default_rng(5)
+        support = (rng.random((6, 4)) < 0.7).astype(float)
+        support[:, 0] = 1.0
+        errors = rng.random((6, 4)) * support
+        if duplicates:
+            errors[3], support[3] = errors[0], support[0]
+        for sup in (None, support):
+            e, s = errors.copy(), None if sup is None else sup.copy()
+            classing = build_classes(e, s)
+            before = classing.class_errors.copy(), np.array(classing.class_support)
+            e[:] = 9.0
+            if s is not None:
+                s[:] = 1.0
+            np.testing.assert_array_equal(classing.class_errors, before[0])
+            np.testing.assert_array_equal(classing.class_support, before[1])
+            assert not classing.inverse.flags.writeable
+            assert not classing.counts.flags.writeable
 
     def test_class_of_inverts_members(self):
         classing = build_classes([[0, 1], [2, 3], [0, 1]])

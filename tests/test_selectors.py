@@ -752,6 +752,17 @@ class TestTopScreen:
             }
             assert len(chosen) == 1
 
+    def test_accepted_pilot_draws_equal_whole_draws(self):
+        """The pilot's events and the others, drawn in two calls, are the
+        draws of one call over every event."""
+        classing = build_classes(screen_matrices()["distinct"])
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        for n in (1, selectors._PILOT, selectors._PILOT + 1, 300):
+            top = selectors._decisive_top_scores(n, classing.m, 200.0, RandomSource(75), screen)
+            whole = selectors._top_scores(n, classing.m, 200.0, RandomSource(75))
+            for part, expected in zip(top, whole):
+                np.testing.assert_array_equal(part, expected)
+
 
 class TestLexicaseSelect:
     def test_dominator_always_wins(self):
