@@ -212,21 +212,23 @@ class EquivalenceClassing:
 
 
 def _group_rows(keyed: np.ndarray):
-    """Class of each row of a C-ordered matrix, classes numbered in order
-    of first occurrence, and the first row of each class (None when every
-    row is its own class).
+    """Class of each row of a C-ordered float64 matrix, classes numbered
+    in order of first occurrence, and the first row of each class (None
+    when every row is its own class).
 
     Each row is viewed as one opaque value, so a stable sort brings equal
     rows together in ascending index order and a run's head is its first
-    occurrence.
+    occurrence.  Neighbours are compared as rows of 64-bit words, the
+    same bytes as the opaque values: several times faster than their
+    ``!=`` where rows repeat, a little slower where all differ.
     """
     n = keyed.shape[0]
     rows = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
     order = np.argsort(rows, kind="stable")
-    ordered = rows[order]
+    ordered = keyed.view(np.uint64)[order]
     head = np.empty(n, dtype=bool)
     head[0] = True
-    head[1:] = ordered[1:] != ordered[:-1]
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     firsts = order[head]
     if firsts.size == n:
         return np.arange(n, dtype=np.int64), None

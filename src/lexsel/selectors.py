@@ -430,41 +430,51 @@ def sample_importance(
     return gen.permuted(tiled, axis=1)
 
 
-def softmax_rows(scores) -> np.ndarray:
+def softmax_rows(scores, *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
     Entries that underflow to zero are clamped to the smallest positive
     normal float so weights stay strictly positive; support-normalization
     denominators then never vanish.  Each row still sums to 1 within
-    1e-9.
+    1e-9.  ``out``, a float64 array of the scores' shape, receives the
+    weights.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ShapeError(f"scores must be 2-D, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ShapeError("scores contain non-finite entries")
-    z = s - s.max(axis=1, keepdims=True)
+    z = np.subtract(s, s.max(axis=1, keepdims=True), out=out)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     np.maximum(z, np.finfo(np.float64).tiny, out=z)
     return z
 
 
-def weighted_fitness(classing: EquivalenceClassing, weights: np.ndarray) -> np.ndarray:
+def weighted_fitness(
+    classing: EquivalenceClassing,
+    weights: np.ndarray,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Fitness of every class under every weight row.
 
     Entry (i, c) is the weighted mean error of class c over the cases it
     is defined on: ``(sum_j w_ij e_cj) / (sum_j w_ij s_cj)``.  With full
-    support the denominator is identically 1 and is skipped.
+    support the denominator is identically 1 and is skipped.  ``out``, a
+    pair of C-contiguous (n, k) float64 arrays, receives the fitness in
+    its first and the denominators in its second, so repeated calls
+    allocate nothing.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[1] != classing.m:
         raise ShapeError(
             f"weights shape {weights.shape} does not match m={classing.m}"
         )
-    fitness = weights @ classing.class_errors.T
+    fitness, mass = (None, None) if out is None else out
+    fitness = np.matmul(weights, classing.class_errors.T, out=fitness)
     if not classing.full_support:
-        fitness /= weights @ classing.class_support.T
+        fitness /= np.matmul(weights, classing.class_support.T, out=mass)
     return fitness
 
 
@@ -551,6 +561,8 @@ def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
     return z
 
 
+# The lexicographic screen walks each event's heaviest cases this deep.
+_LEX_DEPTH = 8
 _TINY32 = float(np.finfo(np.float32).tiny)
 # Below this factor the top screen drops or raises a bound's terms.
 _FLOOR = 2.0**-500
@@ -583,18 +595,61 @@ class _Screen:
     runner_up: np.ndarray  # each case's least nonzero error
     sums: np.ndarray  # each class's error sum
     top_factor: float  # the top screen's relative factor
-    top_absolute: float  # and its absolute term
+    top_absolute: float  # and its absolute term (the lexicographic screen's too)
+    most: float  # the largest error
+    elite_sizes: np.ndarray  # how many classes each case's zeros hold
+    lex_factor: float  # the lexicographic screen's relative factor
 
     @cached_property
     def errors32(self) -> np.ndarray:
         """The float32 copy for the screen's products, made once a pass."""
         return self.errors_t.astype(np.float32)
 
+    @cached_property
+    def elite(self) -> np.ndarray:
+        """Each case's zeros as bitsets over classes (:func:`_bitsets`),
+        made once a pass."""
+        return _bitsets(self.errors_t == 0)
+
+
+def _bitsets(marks: np.ndarray) -> np.ndarray:
+    """Each row of the boolean ``marks`` as little-endian uint64 words,
+    bit c of word w marking column 64 w + c."""
+    rows, cols = marks.shape
+    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=bool)
+    padded[:, :cols] = marks
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _least_nonzero(errors: np.ndarray) -> np.ndarray:
+    """Each column's least nonzero entry of the non-negative ``errors``,
+    inf where there is none.
+
+    Non-negative floats order as their bit patterns, and one less than
+    the pattern of +0 is the largest pattern (-0's is the next), so a
+    minimum over the patterns minus one skips the zeros.  Rows go in
+    chunks of about 2^16 entries through one buffer; this is several
+    times faster than a masked minimum on tied columns, and allocates
+    no matrix-sized temporary.
+    """
+    bits = errors.view(np.uint64)
+    rows = max(1, (1 << 16) // bits.shape[1])
+    buffer = np.empty((min(rows, bits.shape[0]), bits.shape[1]), dtype=np.uint64)
+    least = np.full(bits.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
+    for lo in range(0, bits.shape[0], rows):
+        chunk = np.subtract(bits[lo : lo + rows], 1, out=buffer[: min(rows, bits.shape[0] - lo)])
+        np.minimum(least, chunk.min(axis=0), out=least)
+    least = (least + 1).view(np.float64)
+    least[least == 0] = np.inf
+    return least
+
 
 def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
     """The per-pass inputs of the screens for the shifted ``class_errors``.
-    None, and a float64 pass, when the errors do not fit float32, m is
-    too large for the bound, or no case has a unique best class.
+    None, and a float64 pass, when the errors do not fit float32 or m is
+    too large for the bound.  The float32 and top screens take the
+    events whose heaviest case has a unique best class, the
+    lexicographic screen (:func:`_lex_screen`) the others.
 
     Let F_c be class c's exact fitness under the float64 weights, and
     g_c its float32 fitness.  Casting the weights and errors and summing
@@ -609,34 +664,40 @@ def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
     whatever order the terms are summed in.
     """
     m = class_errors.shape[1]
-    zero = class_errors == 0
-    at = np.flatnonzero(zero)
-    unique_min = np.bincount(at % m, minlength=m) == 1
     top = float(class_errors.max(initial=0.0))
-    if top > _F32_ROOM or (m + 4) * 2.0**-24 >= 0.5 or not unique_min.any():
+    if top > _F32_ROOM or (m + 4) * 2.0**-24 >= 0.5:
         return None
+    zero = class_errors == 0
+    elite_sizes = np.count_nonzero(zero, axis=0)
     g32, g64 = _gamma(m + 4, 2.0**-24), _gamma(m, 2.0**-53)
     slack = 1.0 + 2.0 * m * np.finfo(np.float64).eps
     rel = slack * (1 + g32) / (1 - g32) * (1 + g64) / (1 - g64)
-    # Where a case's best class is unique, it is the one zero's row.
-    best = np.zeros(m, dtype=np.intp)
-    best[at % m] = at // m
     # The top screen's factor: the tie slack, gamma_m on both float64
     # fitnesses and on the error sum, and 16 more rounding errors for
     # exp, the softmax division and the bound's own arithmetic.  Its
     # absolute term covers float64 underflow: at most 2^-1075 a product,
     # m products a fitness, times a softmax denominator of at most m.
     g = _gamma(3 * m + 16, 2.0**-53)
+    # The lexicographic screen's factor: the same, plus two rounding
+    # errors for each exp and one for each term of its longer sums, and
+    # 3 * 709 for a round whose heaviest usable case is heavier than the
+    # bound's: its exponents differ from the bound's by at most 3 u |z|,
+    # and |z| < 709 wherever a weight is not flushed.
+    g_lex = _gamma(3 * m + 4 * _LEX_DEPTH + 16 + 3 * 709, 2.0**-53)
     return _Screen(
         errors_t=class_errors.T,
-        unique_min=unique_min,
+        unique_min=elite_sizes == 1,
         rel=rel,
         absolute=(rel + 1) * m * (_TINY32 * top + 2.0**-148),
-        best=best,
-        runner_up=np.min(class_errors, axis=0, where=~zero, initial=np.inf),
+        # Where a case's best class is unique, it is the one zero's row.
+        best=zero.argmax(axis=0),
+        runner_up=_least_nonzero(class_errors),
         sums=class_errors.sum(axis=1),
         top_factor=slack * (1 + g) / (1 - g),
         top_absolute=m * m * 2.0**-1072,
+        most=top,
+        elite_sizes=elite_sizes,
+        lex_factor=slack * (1 + g_lex) / (1 - g_lex),
     )
 
 
@@ -719,6 +780,159 @@ def _top_decide(cases: np.ndarray, values: np.ndarray, screen) -> tuple[np.ndarr
             decided.append(events[only])
             classes.append(a[only])
     return np.concatenate(decided), np.concatenate(classes)
+
+
+def _set_bits(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and position of every set bit of the rows of uint64 words
+    ``sets``, lowest bits first (word by word, one pass per bit)."""
+    rows, words = np.nonzero(sets)
+    w = sets[rows, words]
+    found_rows, found_bits = [rows[:0]], [words[:0]]
+    while w.size:
+        low = w & (~w + 1)
+        found_rows.append(rows)
+        # A power of two converts to float64 exactly.
+        found_bits.append(words * 64 + np.frexp(low.astype(np.float64))[1] - 1)
+        w &= w - 1
+        more = w != 0
+        w, rows, words = w[more], rows[more], words[more]
+    return np.concatenate(found_rows), np.concatenate(found_bits)
+
+
+def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+    """The events of full score rows whose cascade ends with the lexicase
+    winner of their heaviest cases marked alone, and those classes,
+    without the softmax or a product.
+
+    Let j_1, j_2, ... be an event's cases by falling score v, and S_t
+    the classes of least error on j_t among S_{t-1}, S_0 holding every
+    class: a lexicase filter in score order.  A class c cut at step s(c)
+    agrees with the survivors on j_1 ... j_{s-1} and has at least n_s,
+    the least error of a class cut there, on j_s.  The screen decides for
+    a when S_t = {a} within the heaviest R = ``_LEX_DEPTH`` cases and, at
+    every step s that cuts a class,
+
+        n_s > f (e_as + sum_{t>s} exp(v_t - v_s) e_at) + absolute,
+
+    the sum exact over the heaviest R cases and bounded past them by
+    exp(v_{R+1} - v_s) E_a, E_a being a's error sum.  These exponents are
+    the subtractions the cascade makes in a round whose heaviest usable
+    case is j_s; ``lex_factor`` f and ``top_absolute`` cover the tie
+    slack and the rounding of the exps, the softmax, both fitnesses and
+    this bound, as they do for :func:`_top_decide`.
+
+    Why that holds over the whole cascade, not only its first round.  In
+    any round a class c != a has at least a's fitness: the two agree
+    before s(c), and past it c's error at s(c) outweighs all of a's (f
+    also covers exponents taken from a heavier case), or the weight at
+    s(c) is flushed and so is every later one.  So a keeps
+    the least fitness and stays marked.  Take a round and the shallowest
+    step s cutting a marked class; every marked class agrees with a on
+    j_1 ... j_{s-1}.  After the first round those are agreed cases the
+    cascade has dropped, so j_s is the round's heaviest usable case, the
+    round's exponents are the bound's, and the margin at s unmarks every
+    class cut there; the next round drops j_s.  In the first round, if
+    s = 1 the same holds; if s > 1 no class was cut before j_s, so those
+    columns are all zero, agreed, and dropped.  Each round thus drops a
+    case while a rival is marked, and the rivals cut at each step go in
+    turn, until a is alone.
+
+    Steps run on bitsets while some survivor has a zero on the next case
+    (a class cut there then has at least the case's runner-up); an event
+    whose survivors all miss the zeros unpacks them into (event, class)
+    pairs, filtered by exact minimum from that step on.
+
+    Two gates spare events the walk.  Events whose heaviest case has a
+    unique best class are left to :func:`_top_screen` and the float32
+    screen, whose first test is this bound at step 1.  And every tail
+    term is at least exp(v_{R+1} - v_1) times the least error sum, which
+    the margin of the first step (the case's runner-up) or, if that step
+    cuts nothing, of a later one (at most the largest error) must beat.
+    """
+    n, m = scores.shape
+    depth = min(_LEX_DEPTH, m)
+    width = min(depth + 1, m)
+    first = scores.argmax(axis=1)
+    tied = ~screen.unique_min[first]
+    if width > depth and tied.any():
+        # The margin at the first step, if it cuts a class, is that
+        # case's runner-up; else a later margin is at most the largest
+        # error.  Either must beat the tail term.
+        cuts = screen.elite_sizes[first] < screen.sums.size
+        need = np.where(cuts, screen.runner_up[first], screen.most)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = scores[np.arange(n), first] + (np.log(need) - np.log(screen.sums.min()))
+        tied &= np.count_nonzero(scores >= reach[:, None], axis=1) <= depth
+    rows = np.flatnonzero(tied)
+    if rows.size == 0:
+        return rows, rows
+    # The heaviest cases by repeated argmax, about 3x faster here than an
+    # argpartition and a sort.
+    heaviest = scores[rows]
+    at = np.arange(rows.size)
+    cases = np.empty((rows.size, width), dtype=np.intp)
+    cases[:, 0] = first[rows]
+    for t in range(width):
+        if t:
+            cases[:, t] = heaviest.argmax(axis=1)
+        heaviest[at, cases[:, t]] = -np.inf
+    values = scores[rows[:, None], cases]
+    elite, sizes, errors_t = screen.elite, screen.elite_sizes, screen.errors_t
+    least_cut = np.full((rows.size, depth), np.inf)
+    winner = np.full(rows.size, -1)
+    # The first step keeps the heaviest case's zeros, two classes or more.
+    j = cases[:, 0]
+    survivors, count = elite[j], sizes[j]
+    cut = count < errors_t.shape[1]
+    least_cut[cut, 0] = screen.runner_up[j[cut]]
+    # Events walk on bitsets until one class survives, or none keeps a
+    # zero on the next case; those keep the set they had and the step.
+    walking = np.arange(rows.size)
+    missed, missed_sets, start = [walking[:0]], [], np.full(rows.size, depth)
+    for t in range(1, depth):
+        j = cases[walking, t]
+        kept = survivors & elite[j]
+        kept_count = np.bitwise_count(kept).sum(axis=1)
+        cut = (kept_count > 0) & (kept_count < count)
+        least_cut[walking[cut], t] = screen.runner_up[j[cut]]
+        one = kept_count == 1
+        winner[walking[one]] = _set_bits(kept[one])[1]
+        none = kept_count == 0
+        missed.append(walking[none])
+        missed_sets.append(survivors[none])
+        start[walking[none]] = t
+        going = kept_count > 1
+        walking, survivors, count = walking[going], kept[going], kept_count[going]
+    # The exact filter, on (event, class) pairs.
+    missed = np.concatenate(missed)
+    if missed.size:
+        owner, classes = _set_bits(np.concatenate(missed_sets))
+        events = missed[owner]
+        for t in range(int(start.min()), depth):
+            e = errors_t[cases[events, t], classes]
+            # Events whose filter starts later keep every pair.
+            e[start[events] > t] = 0.0
+            low = np.full(rows.size, np.inf)
+            np.minimum.at(low, events, e)
+            low = low[events]
+            np.minimum.at(least_cut[:, t], events, np.where(e > low, e, np.inf))
+            events, classes = events[e == low], classes[e == low]
+        single = np.bincount(events, minlength=rows.size)[events] == 1
+        winner[events[single]] = classes[single]
+    alone = np.flatnonzero(winner >= 0)
+    a = winner[alone]
+    v = values[alone]
+    own = errors_t[cases[alone, :depth], a[:, None]]
+    if width > depth:
+        own = np.concatenate([own, screen.sums[a][:, None]], axis=1)
+    later = np.arange(width)[None, :] > np.arange(depth)[:, None]
+    with np.errstate(under="ignore", over="ignore"):
+        ratio = np.where(later, np.exp(v[:, None, :] - v[:, :depth, None]), 0.0)
+    bound = screen.lex_factor * (own[:, :depth] + (ratio * own[:, None, :]).sum(axis=2))
+    least_cut = least_cut[alone]
+    held = np.isinf(least_cut) | (least_cut > bound + screen.top_absolute)
+    decided = held.all(axis=1)
+    return rows[alone[decided]], a[decided]
 
 
 def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
@@ -915,12 +1129,15 @@ def dalex_select(
     pick does not depend on how many events run with it.  With full
     support, aggregation runs through a tie-resolving cascade
     (:func:`_cascade`) so that high pressure yields the lexicographic
-    order the weights encode instead of float64 round-off noise; two
-    screens decide the events whose winner they can prove, with the same
-    picks as the float64 round: one from the heaviest cases alone
-    (:func:`_top_decide`), then a float32 product (:func:`_screen_setup`).
-    Partial support keeps the single-pass computation: dividing by
-    per-class support mass leaves no exact cancellation to exploit.
+    order the weights encode instead of float64 round-off noise.
+    Screens decide the events whose final marks they can prove to be
+    one class, with the same picks as the cascade: on full score rows a
+    lexicase filter over the heaviest cases (:func:`_lex_screen`), and
+    where a heaviest case has a unique best class, a bound from the
+    heaviest cases alone (:func:`_top_decide`) and a float32 product
+    (:func:`_screen_setup`).  Partial support keeps the single-pass
+    computation, in one set of block buffers: dividing by per-class
+    support mass leaves no exact cancellation to exploit.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
@@ -941,8 +1158,11 @@ def dalex_select(
         screen = _screen_setup(class_errors)
     elif class_errors is not classing.class_errors:
         classing = replace(classing, class_errors=class_errors)
+    # The top and float32 screens take only events whose heaviest case
+    # has a unique best class.
+    unique = screen is not None and screen.unique_min.any()
     top = None
-    if importance is None and screen is not None and cfg.distribution == "normal":
+    if importance is None and unique and cfg.distribution == "normal":
         top = _decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)
     in_parts = top is not None
     if in_parts:
@@ -952,30 +1172,55 @@ def dalex_select(
         importance = sample_importance(n_events, classing.m, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
-    for lo, hi in _event_blocks(n_events, classing.k):
+    blocks = list(_event_blocks(n_events, classing.k))
+    if not full_support:
+        # One set of block buffers serves every block of the pass.
+        size = max(hi - lo for lo, hi in blocks)
+        weights = np.empty((size, classing.m))
+        products = np.empty((2, size, classing.k))
+        least = np.empty((size, classing.k), dtype=bool)
+    elif not in_parts:
+        # Events the screen decides hold their class, the others -1.
+        lex = np.full(n_events, -1)
+        if screen is not None:
+            # A chunk's scores and bitsets hold about _BLOCK_ENTRIES / 2
+            # words, a sixth faster on select-ties than twice that;
+            # smaller chunks start to show the per-call overhead.
+            chunk = max(1, _BLOCK_ENTRIES // 2 // (classing.m + -(-classing.k // 64)))
+            for lo in range(0, n_events, chunk):
+                rows, classes = _lex_screen(importance[lo : lo + chunk], screen)
+                lex[lo + rows] = classes
+    for lo, hi in blocks:
+        if not full_support:
+            r = hi - lo
+            w = softmax_rows(importance[lo:hi], out=weights[:r])
+            fitness = weighted_fitness(classing, w, out=(products[0, :r], products[1, :r]))
+            marked = np.equal(fitness, fitness.min(axis=1, keepdims=True), out=least[:r])
+            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
+            continue
         if in_parts:
             rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
-            picks[lo + rows] = classes
-            left = lo + np.delete(np.arange(hi - lo), rows)
-            events = left
-            if left.size == 1 and hi - lo > 1:
-                # Two rows keep the float64 round a matrix product, as a
-                # block of full rows would (see _event_blocks).
-                events = np.sort(np.append(left, lo if left[0] != lo else lo + 1))
-            if events.size:
+        else:
+            rows = np.flatnonzero(lex[lo:hi] >= 0)
+            classes = lex[lo + rows]
+        picks[lo + rows] = classes
+        left = lo + np.delete(np.arange(hi - lo), rows)
+        events = left
+        if left.size == 1 and hi - lo > 1:
+            # Two rows keep the float64 round a matrix product, as a
+            # block of full rows would (see _event_blocks).
+            events = np.sort(np.append(left, lo if left[0] != lo else lo + 1))
+        if events.size:
+            if in_parts:
                 scores = _complete_scores(
                     cases[events], values[events], level[events], rest.draw(events), cfg.pressure
                 )
-                marked = _cascade(scores, class_errors, screen, top=False)
-                chosen = _pick_marked(marked, u[events])
-                picks[left] = chosen[np.isin(events, left)]
-        elif full_support:
-            marked = _cascade(importance[lo:hi], class_errors, screen)
-            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
-        else:
-            fitness = weighted_fitness(classing, softmax_rows(importance[lo:hi]))
-            marked = fitness == fitness.min(axis=1, keepdims=True)
-            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
+            else:
+                # A view when the screen left the whole block.
+                scores = importance[lo:hi] if events.size == hi - lo else importance[events]
+            marked = _cascade(scores, class_errors, screen if unique else None, top=not in_parts)
+            chosen = _pick_marked(marked, u[events])
+            picks[left] = chosen if events.size == left.size else chosen[events == left[0]]
     return picks
 
 

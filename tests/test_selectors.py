@@ -240,6 +240,25 @@ class TestWeightedFitness:
         with pytest.raises(ShapeError):
             weighted_fitness(classing, np.ones((4, 3)))
 
+    def test_out_buffers_hold_the_same_bits(self):
+        # Reused buffers, dirty from an earlier call, give what fresh
+        # arrays give.
+        rng = np.random.default_rng(96)
+        support = (rng.random((40, 12)) < 0.5).astype(float)
+        support[:, 0] = 1.0
+        for classing in (
+            build_classes(rng.random((40, 12))),
+            build_classes(rng.random((40, 12)) * support, support),
+        ):
+            scores = rng.normal(0.0, 20.0, (9, 12))
+            weights = np.full((9, 12), np.nan)
+            products = np.full((2, 9, classing.k), np.nan)
+            w = softmax_rows(scores, out=weights)
+            fitness = weighted_fitness(classing, w, out=(products[0], products[1]))
+            assert w is weights and np.shares_memory(fitness, products[0])
+            np.testing.assert_array_equal(w, softmax_rows(scores))
+            np.testing.assert_array_equal(fitness, weighted_fitness(classing, softmax_rows(scores)))
+
 
 class TestDalexSelect:
     def cfg(self, **kw):
@@ -762,6 +781,171 @@ class TestTopScreen:
             whole = selectors._top_scores(n, classing.m, 200.0, RandomSource(75))
             for part, expected in zip(top, whole):
                 np.testing.assert_array_equal(part, expected)
+
+
+def unscreened_dalex_picks(monkeypatch, classing, n_events, cfg, rng, importance=None):
+    """``dalex_select``'s picks with the lexicographic screen off."""
+    with monkeypatch.context() as patch:
+        none = np.empty(0, dtype=np.intp)
+        patch.setattr(selectors, "_lex_screen", lambda scores, screen: (none, none))
+        return dalex_select(classing, n_events, cfg, rng, importance)
+
+
+class TestLexScreen:
+    """The screen that decides events by filtering their heaviest cases."""
+
+    PRESSURES = (2.0, 20.0, 200.0, 2000.0)
+
+    def matrices(self):
+        rng = np.random.default_rng(80)
+        problem = SyntheticProblem("discrete_vector", m=40, seed=81, n_keys=3, n_values=4)
+        genomes = [rng.integers(0, problem.token_range, 4) for _ in range(300)]
+        evolved, _ = problem.evaluate(genomes)
+        out = {
+            "ties": rng.integers(0, 6, (300, 30)).astype(float),
+            "binary": rng.integers(0, 2, (200, 25)).astype(float),
+            "evolve-like": evolved,
+            "m=1": rng.integers(0, 4, (40, 1)).astype(float),
+            "m=2": rng.integers(0, 3, (40, 2)).astype(float),
+            "all tied": np.full((30, 12), 3.0),
+            "one case splits": np.hstack([np.zeros((50, 11)), rng.integers(0, 3, (50, 1))]),
+            "near 1e308": rng.choice([-1e308, 0.0, 1e308], (30, 10)),
+        }
+        for k in (1, 63, 64, 65, 129):
+            # Distinct rows, so k classes, across bitset word edges.
+            ties = rng.integers(0, 4, (k, 16)).astype(float)
+            ties[:, 0] = np.arange(k) % 4
+            ties[:, 1] = np.arange(k) // 4
+            out[f"k={k}"] = ties
+        return out
+
+    def test_screened_picks_equal_unscreened_picks(self, monkeypatch):
+        decided = {}
+        for name, errors in self.matrices().items():
+            for classing in (build_classes(errors), singleton_classes(errors)):
+                for pressure in self.PRESSURES:
+                    for distribution in ("normal", "shuffled_range"):
+                        for relaxed in (False, True):
+                            cfg = SelectorConfig(
+                                "dalex", pressure=pressure, distribution=distribution,
+                                relaxed=relaxed,
+                            )
+                            picks = dalex_select(classing, 300, cfg, RandomSource(82))
+                            expected = unscreened_dalex_picks(
+                                monkeypatch, classing, 300, cfg, RandomSource(82)
+                            )
+                            np.testing.assert_array_equal(
+                                picks, expected, err_msg=f"{name} k={classing.k} {cfg}"
+                            )
+                shifted = selectors._shifted_errors(classing.class_errors)
+                screen = selectors._screen_setup(shifted)
+                if screen is not None:
+                    scores = sample_importance(
+                        300, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(83)
+                    )
+                    decided[name] = decided.get(name, 0) + selectors._lex_screen(scores, screen)[0].size
+        assert decided["ties"] > 0 and decided["evolve-like"] > 0 and decided["k=129"] > 0
+
+    def test_decisions_match_the_float64_cascade(self):
+        for name, errors in self.matrices().items():
+            for classing in (build_classes(errors), singleton_classes(errors)):
+                shifted = selectors._shifted_errors(classing.class_errors)
+                screen = selectors._screen_setup(shifted)
+                if screen is None:
+                    continue
+                for pressure in self.PRESSURES:
+                    cfg = SelectorConfig("dalex", pressure=pressure)
+                    scores = sample_importance(300, classing.m, cfg, RandomSource(84))
+                    rows, classes = selectors._lex_screen(scores, screen)
+                    marked = selectors._cascade(scores, shifted)
+                    expected = np.zeros_like(marked[rows])
+                    expected[np.arange(rows.size), classes] = True
+                    np.testing.assert_array_equal(marked[rows], expected, err_msg=name)
+
+    def test_duplicate_classes_are_never_decided(self):
+        # Kept as separate classes, a duplicated row can never be the
+        # lone survivor of its own filter.
+        errors = np.random.default_rng(85).integers(0, 3, (60, 20)).astype(float)
+        classing = singleton_classes(np.vstack([errors, errors]))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        for pressure in self.PRESSURES:
+            cfg = SelectorConfig("dalex", pressure=pressure)
+            scores = sample_importance(400, classing.m, cfg, RandomSource(86))
+            assert selectors._lex_screen(scores, screen)[0].size == 0
+
+    def test_classes_tied_within_the_slack_stay_undecided(self, monkeypatch):
+        # Classes 0 and 1 tie on the heaviest case, and the filter cuts
+        # class 1 on the next, though it is worse by only 1-3 ulps: every
+        # round marks both and, once the first case is dropped, no agreed
+        # case separates them, so the events are coin flips the screen
+        # must leave to the cascade.
+        for ulps in (1, 2, 3):
+            delta = np.exp(-1.0) * (1 + ulps * 2.0**-52)
+            classing = build_classes([[0.0, 0.0, 1.0], [0.0, delta, 0.0], [1.0, 1.0, 1.0]])
+            importance = np.tile([0.0, -1.0, -2.0], (200, 1))
+            cfg = SelectorConfig("dalex", pressure=200.0)
+            picks = dalex_select(classing, 200, cfg, RandomSource(87), importance)
+            expected = unscreened_dalex_picks(
+                monkeypatch, classing, 200, cfg, RandomSource(87), importance
+            )
+            np.testing.assert_array_equal(picks, expected)
+            assert set(picks.tolist()) == {0, 1}
+
+    def test_near_equal_top_scores_take_the_fallback(self, monkeypatch):
+        # Cases 0 and 1 are every event's heaviest, 2^-60 apart, and the
+        # classes with a zero on one have a one on the other: the lexicase
+        # winner's error on case 1 then weighs as much as any cut class's
+        # on case 0, and only the cascade can settle the event.
+        rng = np.random.default_rng(88)
+        errors = rng.integers(0, 6, (300, 30)).astype(float)
+        errors[:, 0] = rng.integers(0, 2, 300)
+        errors[:, 1] = 1.0 - errors[:, 0]
+        classing = build_classes(errors)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        importance = sample_importance(300, classing.m, cfg, RandomSource(89))
+        importance -= importance.max(axis=1, keepdims=True) + 100.0
+        importance[:, 0] = 0.0
+        importance[:, 1] = -(2.0**-60)
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        assert selectors._lex_screen(importance, screen)[0].size == 0
+        picks = dalex_select(classing, 300, cfg, RandomSource(90), importance)
+        np.testing.assert_array_equal(
+            picks,
+            unscreened_dalex_picks(monkeypatch, classing, 300, cfg, RandomSource(90), importance),
+        )
+
+    def test_decides_most_tied_events_at_high_pressure(self):
+        # A floor, so a screen that silently decides nothing fails.
+        errors = np.random.default_rng(91).integers(0, 6, (4000, 200)).astype(float)
+        classing = build_classes(errors)
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        assert not screen.unique_min.any()
+        scores = sample_importance(
+            4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(92)
+        )
+        rows, _ = selectors._lex_screen(scores, screen)
+        assert rows.size >= 0.9 * 4000
+
+    def test_low_pressure_events_skip_the_walk(self):
+        # At pressure 2 the tail term alone rules every event out.
+        errors = np.random.default_rng(93).integers(0, 6, (500, 200)).astype(float)
+        classing = build_classes(errors)
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        scores = sample_importance(
+            500, classing.m, SelectorConfig("dalex", pressure=2.0), RandomSource(94)
+        )
+        assert selectors._lex_screen(scores, screen)[0].size == 0
+
+    def test_bitsets_hold_each_column(self):
+        rng = np.random.default_rng(95)
+        for cols in (1, 63, 64, 65, 129):
+            marks = rng.random((7, cols)) < 0.3
+            words = selectors._bitsets(marks)
+            assert words.shape == (7, -(-cols // 64))
+            rows, positions = selectors._set_bits(words)
+            found = np.zeros_like(marks)
+            found[rows, positions] = True
+            np.testing.assert_array_equal(found, marks)
 
 
 class TestLexicaseSelect:
