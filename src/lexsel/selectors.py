@@ -621,6 +621,28 @@ def _bitsets(marks: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+_M1, _M2, _M4, _H01 = (
+    np.uint64(word)
+    for word in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 of ``words``, by the SWAR bit count."""
+    words = words - ((words >> np.uint64(1)) & _M1)
+    words = (words & _M2) + ((words >> np.uint64(2)) & _M2)
+    words = (words + (words >> np.uint64(4))) & _M4
+    return (words * _H01) >> np.uint64(56)
+
+
+def _row_popcount(sets: np.ndarray) -> np.ndarray:
+    """The set bits of each row of the uint64 words ``sets``."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(sets).sum(axis=1)
+    # NumPy 1.x has no bit count ufunc; the SWAR count is several times slower.
+    return _swar_popcount(sets).sum(axis=1)
+
+
 def _least_nonzero(errors: np.ndarray) -> np.ndarray:
     """Each column's least nonzero entry of the non-negative ``errors``,
     inf where there is none.
@@ -629,8 +651,9 @@ def _least_nonzero(errors: np.ndarray) -> np.ndarray:
     the pattern of +0 is the largest pattern (-0's is the next), so a
     minimum over the patterns minus one skips the zeros.  Rows go in
     chunks of about 2^16 entries through one buffer; this is several
-    times faster than a masked minimum on tied columns, and allocates
-    no matrix-sized temporary.
+    times faster than a masked minimum on tied columns and, unlike a
+    masked copy, allocates no matrix-sized temporary.  Either one-line
+    form makes whole ``dalex`` passes measurably slower.
     """
     bits = errors.view(np.uint64)
     rows = max(1, (1 << 16) // bits.shape[1])
@@ -888,21 +911,27 @@ def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
     # Events walk on bitsets until one class survives, or none keeps a
     # zero on the next case; those keep the set they had and the step.
     walking = np.arange(rows.size)
+    singles, single_sets = [walking[:0]], [survivors[:0]]
     missed, missed_sets, start = [walking[:0]], [], np.full(rows.size, depth)
     for t in range(1, depth):
+        if walking.size == 0:
+            break
         j = cases[walking, t]
         kept = survivors & elite[j]
-        kept_count = np.bitwise_count(kept).sum(axis=1)
+        kept_count = _row_popcount(kept)
         cut = (kept_count > 0) & (kept_count < count)
         least_cut[walking[cut], t] = screen.runner_up[j[cut]]
         one = kept_count == 1
-        winner[walking[one]] = _set_bits(kept[one])[1]
+        singles.append(walking[one])
+        single_sets.append(kept[one])
         none = kept_count == 0
         missed.append(walking[none])
         missed_sets.append(survivors[none])
         start[walking[none]] = t
         going = kept_count > 1
         walking, survivors, count = walking[going], kept[going], kept_count[going]
+    owner, classes = _set_bits(np.concatenate(single_sets))
+    winner[np.concatenate(singles)[owner]] = classes
     # The exact filter, on (event, class) pairs.
     missed = np.concatenate(missed)
     if missed.size:
@@ -980,9 +1009,7 @@ def _screen(weights: np.ndarray, scores: np.ndarray, screen) -> tuple[np.ndarray
     return rows[alone], best[alone]
 
 
-def _cascade(
-    scores: np.ndarray, class_errors: np.ndarray, screen=None, top: bool = True
-) -> np.ndarray:
+def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.ndarray:
     """Mark, per event, the classes of least softmax-weighted mean error,
     faithful to the real-valued computation across the full pressure
     range.
@@ -1012,31 +1039,19 @@ def _cascade(
     worse loses in a later round, once the agreed cases are gone, unless
     it differs from the others only below float resolution.
 
-    ``screen``, from :func:`_screen_setup`, lets two screens decide the
-    events whose float64 tie set they prove to be one class: first
-    :func:`_top_screen` from the heaviest cases (unless ``top`` is
-    False, for rows it has seen), then a float32 product
-    (:func:`_screen`) for the events it leaves.  The others take the
-    float64 round, and only their weights are computed.
+    ``screen``, from :func:`_screen_setup`, lets a float32 product
+    (:func:`_screen`) decide the events whose float64 tie set it proves
+    to be one class, where some case has a unique best class.  The
+    others take the float64 round.
     """
     n = scores.shape[0]
     slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
-    if screen is None:
-        rest = np.arange(n)
-        weights = _flushed_softmax(scores)
-    else:
-        if top:
-            rows, best = _top_screen(scores, screen)
-        else:
-            rows = best = np.empty(0, dtype=np.intp)
+    weights = _flushed_softmax(scores)
+    rest = np.arange(n)
+    if screen is not None and screen.unique_min.any():
+        rows, best = _screen(weights, scores, screen)
         rest = np.delete(np.arange(n), rows)
-        if rest.size:
-            weights = _flushed_softmax(scores[rest])
-            more, more_best = _screen(weights, scores[rest], screen)
-            rows = np.concatenate([rows, rest[more]])
-            best = np.concatenate([best, more_best])
-            rest = np.delete(rest, more)
-            weights = np.delete(weights, more, axis=0)
+        weights = np.delete(weights, rows, axis=0)
         if rest.size == 1 and n > 1:
             # A one-row product rounds differently (see _event_blocks); a
             # decided row keeps it a matrix product and gets the same mark.
@@ -1158,8 +1173,8 @@ def dalex_select(
         screen = _screen_setup(class_errors)
     elif class_errors is not classing.class_errors:
         classing = replace(classing, class_errors=class_errors)
-    # The top and float32 screens take only events whose heaviest case
-    # has a unique best class.
+    # Drawing in parts serves only events whose heaviest case has a
+    # unique best class.
     unique = screen is not None and screen.unique_min.any()
     top = None
     if importance is None and unique and cfg.distribution == "normal":
@@ -1179,17 +1194,6 @@ def dalex_select(
         weights = np.empty((size, classing.m))
         products = np.empty((2, size, classing.k))
         least = np.empty((size, classing.k), dtype=bool)
-    elif not in_parts:
-        # Events the screen decides hold their class, the others -1.
-        lex = np.full(n_events, -1)
-        if screen is not None:
-            # A chunk's scores and bitsets hold about _BLOCK_ENTRIES / 2
-            # words, a sixth faster on select-ties than twice that;
-            # smaller chunks start to show the per-call overhead.
-            chunk = max(1, _BLOCK_ENTRIES // 2 // (classing.m + -(-classing.k // 64)))
-            for lo in range(0, n_events, chunk):
-                rows, classes = _lex_screen(importance[lo : lo + chunk], screen)
-                lex[lo + rows] = classes
     for lo, hi in blocks:
         if not full_support:
             r = hi - lo
@@ -1200,9 +1204,15 @@ def dalex_select(
             continue
         if in_parts:
             rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
+        elif screen is not None:
+            # The two take disjoint events: those whose heaviest case has
+            # a unique best class, and the others.
+            top_rows, top_classes = _top_screen(importance[lo:hi], screen)
+            lex_rows, lex_classes = _lex_screen(importance[lo:hi], screen)
+            rows = np.concatenate([top_rows, lex_rows])
+            classes = np.concatenate([top_classes, lex_classes])
         else:
-            rows = np.flatnonzero(lex[lo:hi] >= 0)
-            classes = lex[lo + rows]
+            rows = classes = np.empty(0, dtype=np.intp)
         picks[lo + rows] = classes
         left = lo + np.delete(np.arange(hi - lo), rows)
         events = left
@@ -1216,9 +1226,9 @@ def dalex_select(
                     cases[events], values[events], level[events], rest.draw(events), cfg.pressure
                 )
             else:
-                # A view when the screen left the whole block.
+                # A view when the screens left the whole block.
                 scores = importance[lo:hi] if events.size == hi - lo else importance[events]
-            marked = _cascade(scores, class_errors, screen if unique else None, top=not in_parts)
+            marked = _cascade(scores, class_errors, screen)
             chosen = _pick_marked(marked, u[events])
             picks[left] = chosen if events.size == left.size else chosen[events == left[0]]
     return picks

@@ -947,6 +947,42 @@ class TestLexScreen:
             found[rows, positions] = True
             np.testing.assert_array_equal(found, marks)
 
+    def test_least_nonzero_matches_a_masked_minimum(self):
+        rng = np.random.default_rng(100)
+        errors = rng.integers(0, 4, (70, 9)).astype(float) * rng.random((70, 9))
+        errors[:, 0] = 0.0
+        errors[:35, 1] = -0.0
+        errors[35:, 1] = 0.0
+        errors[:, 2] = np.finfo(np.float64).tiny / 4
+        errors[5, 3] = np.finfo(np.float64).max
+        expected = np.min(errors, axis=0, where=errors != 0, initial=np.inf)
+        np.testing.assert_array_equal(selectors._least_nonzero(errors), expected)
+        assert np.isinf(expected[:2]).all()
+
+    def test_swar_bit_count(self):
+        words = np.random.default_rng(96).integers(0, 2**63, (5, 9), dtype=np.uint64)
+        words[0] = [0, 1, 2**63, 2**64 - 1, 2**63 - 1, 2**32, 0x5555555555555555, 3, 7]
+        counts = [[bin(int(w)).count("1") for w in row] for row in words]
+        np.testing.assert_array_equal(selectors._swar_popcount(words), counts)
+        np.testing.assert_array_equal(selectors._row_popcount(words), np.sum(counts, axis=1))
+
+    def test_screened_picks_without_a_bit_count_ufunc(self, monkeypatch):
+        # NumPy 1.x has no np.bitwise_count; the screen falls back to the
+        # SWAR count and decides the same events.
+        errors = np.random.default_rng(97).integers(0, 6, (300, 40)).astype(float)
+        classing = build_classes(errors)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        scores = sample_importance(300, classing.m, cfg, RandomSource(98))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        rows, classes = selectors._lex_screen(scores, screen)
+        picks = dalex_select(classing, 300, cfg, RandomSource(99))
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        fallback_rows, fallback_classes = selectors._lex_screen(scores, screen)
+        assert rows.size > 0
+        np.testing.assert_array_equal(fallback_rows, rows)
+        np.testing.assert_array_equal(fallback_classes, classes)
+        np.testing.assert_array_equal(dalex_select(classing, 300, cfg, RandomSource(99)), picks)
+
 
 class TestLexicaseSelect:
     def test_dominator_always_wins(self):
