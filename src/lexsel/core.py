@@ -201,11 +201,6 @@ class EquivalenceClassing:
         order.flags.writeable = False
         return order
 
-    @property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """Each class's individuals, ascending; one array per class."""
-        return tuple(np.split(self.member_order, np.cumsum(self.counts)[:-1]))
-
     def class_of(self) -> np.ndarray:
         """Return the class index of each individual (``inverse``)."""
         return self.inverse

@@ -670,9 +670,12 @@ def _least_nonzero(errors: np.ndarray) -> np.ndarray:
 def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
     """The per-pass inputs of the screens for the shifted ``class_errors``.
     None, and a float64 pass, when the errors do not fit float32 or m is
-    too large for the bound.  The float32 and top screens take the
-    events whose heaviest case has a unique best class, the
-    lexicographic screen (:func:`_lex_screen`) the others.
+    too large for the bound.  On full score rows the lexicographic
+    screen (:func:`_lex_screen`) walks every event its gate admits; on
+    scores drawn in parts :func:`_top_decide` tries the events whose
+    heaviest case has a unique best class.  The float32 screen then
+    takes the events left, except those walked from a tied heaviest
+    case, on which most classes would stay candidates.
 
     Let F_c be class c's exact fitness under the float64 weights, and
     g_c its float32 fitness.  Casting the weights and errors and summing
@@ -722,28 +725,6 @@ def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
         elite_sizes=elite_sizes,
         lex_factor=slack * (1 + g_lex) / (1 - g_lex),
     )
-
-
-def _top_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_top_decide` on full score rows: the events it decides, and
-    their classes."""
-    j1 = scores.argmax(axis=1)
-    rows = np.flatnonzero(screen.unique_min[j1])
-    if rows.size == 0:
-        return rows, rows
-    heaviest = scores[rows]
-    at = np.arange(rows.size)
-    r = min(_TOP, scores.shape[1])
-    cases = np.empty((rows.size, r), dtype=np.intp)
-    values = np.empty((rows.size, r))
-    cases[:, 0] = j1[rows]
-    for t in range(r):
-        if t:
-            cases[:, t] = heaviest.argmax(axis=1)
-        values[:, t] = heaviest[at, cases[:, t]]
-        heaviest[at, cases[:, t]] = -np.inf
-    decided, classes = _top_decide(cases, values, screen)
-    return rows[decided], classes
 
 
 def _top_decide(cases: np.ndarray, values: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
@@ -822,10 +803,11 @@ def _set_bits(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(found_rows), np.concatenate(found_bits)
 
 
-def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
+def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The events of full score rows whose cascade ends with the lexicase
-    winner of their heaviest cases marked alone, and those classes,
-    without the softmax or a product.
+    winner of their heaviest cases marked alone, those classes, and the
+    events walked from a tied heaviest case, decided or not; all without
+    the softmax or a product.
 
     Let j_1, j_2, ... be an event's cases by falling score v, and S_t
     the classes of least error on j_t among S_{t-1}, S_0 holding every
@@ -865,30 +847,31 @@ def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
     whose survivors all miss the zeros unpacks them into (event, class)
     pairs, filtered by exact minimum from that step on.
 
-    Two gates spare events the walk.  Events whose heaviest case has a
-    unique best class are left to :func:`_top_screen` and the float32
-    screen, whose first test is this bound at step 1.  And every tail
-    term is at least exp(v_{R+1} - v_1) times the least error sum, which
-    the margin of the first step (the case's runner-up) or, if that step
-    cuts nothing, of a later one (at most the largest error) must beat.
+    The walk takes every event whether its heaviest case is tied or has
+    a unique best class: that case is then a first step keeping one
+    class, and its margin test is :func:`_top_decide`'s first bound with
+    R exact cases instead of three.  One gate spares events the walk:
+    every tail term is at least exp(v_{R+1} - v_1) times the least error
+    sum, which the margin of the first step (the case's runner-up) or,
+    if that step cuts nothing, of a later one (at most the largest
+    error) must beat.
     """
     n, m = scores.shape
     depth = min(_LEX_DEPTH, m)
     width = min(depth + 1, m)
     first = scores.argmax(axis=1)
-    tied = ~screen.unique_min[first]
-    if width > depth and tied.any():
+    rows = np.arange(n)
+    if width > depth:
         # The margin at the first step, if it cuts a class, is that
         # case's runner-up; else a later margin is at most the largest
         # error.  Either must beat the tail term.
         cuts = screen.elite_sizes[first] < screen.sums.size
         need = np.where(cuts, screen.runner_up[first], screen.most)
         with np.errstate(divide="ignore", invalid="ignore"):
-            reach = scores[np.arange(n), first] + (np.log(need) - np.log(screen.sums.min()))
-        tied &= np.count_nonzero(scores >= reach[:, None], axis=1) <= depth
-    rows = np.flatnonzero(tied)
+            reach = scores[rows, first] + (np.log(need) - np.log(screen.sums.min()))
+        rows = np.flatnonzero(np.count_nonzero(scores >= reach[:, None], axis=1) <= depth)
     if rows.size == 0:
-        return rows, rows
+        return rows, rows, rows
     # The heaviest cases by repeated argmax, about 3x faster here than an
     # argpartition and a sort.
     heaviest = scores[rows]
@@ -903,16 +886,19 @@ def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
     elite, sizes, errors_t = screen.elite, screen.elite_sizes, screen.errors_t
     least_cut = np.full((rows.size, depth), np.inf)
     winner = np.full(rows.size, -1)
-    # The first step keeps the heaviest case's zeros, two classes or more.
+    # The first step keeps the heaviest case's zeros: one class where it
+    # is the case's unique best.
     j = cases[:, 0]
-    survivors, count = elite[j], sizes[j]
+    count = sizes[j]
     cut = count < errors_t.shape[1]
     least_cut[cut, 0] = screen.runner_up[j[cut]]
+    winner[count == 1] = screen.best[j[count == 1]]
     # Events walk on bitsets until one class survives, or none keeps a
     # zero on the next case; those keep the set they had and the step.
-    walking = np.arange(rows.size)
-    singles, single_sets = [walking[:0]], [survivors[:0]]
-    missed, missed_sets, start = [walking[:0]], [], np.full(rows.size, depth)
+    walking = np.flatnonzero(count > 1)
+    survivors, count = elite[j[walking]], count[walking]
+    singles, single_sets = [at[:0]], [survivors[:0]]
+    missed, missed_sets, start = [at[:0]], [], np.full(rows.size, depth)
     for t in range(1, depth):
         if walking.size == 0:
             break
@@ -961,7 +947,7 @@ def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
     least_cut = least_cut[alone]
     held = np.isinf(least_cut) | (least_cut > bound + screen.top_absolute)
     decided = held.all(axis=1)
-    return rows[alone[decided]], a[decided]
+    return rows[alone[decided]], a[decided], rows[sizes[cases[:, 0]] > 1]
 
 
 def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
@@ -990,26 +976,7 @@ def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndar
     return fitness <= bound[:, None], best
 
 
-def _screen(weights: np.ndarray, scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray]:
-    """The events the float32 screen decides, and their classes.
-
-    Only events whose heaviest case has a unique best class are screened;
-    with a tied heaviest case most classes stay candidates, and the
-    screen would only add its product to the float64 one.  An event with
-    one candidate is decided.
-    """
-    rows = np.flatnonzero(screen.unique_min[scores.argmax(axis=1)])
-    if rows.size == 0:
-        return rows, rows
-    candidates, best = _screen_candidates(weights[rows], screen)
-    # Every row holds its best class; one candidate in all is one a row.
-    if np.count_nonzero(candidates) == rows.size:
-        return rows, best
-    alone = np.count_nonzero(candidates, axis=1) == 1
-    return rows[alone], best[alone]
-
-
-def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.ndarray:
+def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     """Mark, per event, the classes of least softmax-weighted mean error,
     faithful to the real-valued computation across the full pressure
     range.
@@ -1039,39 +1006,20 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray, screen=None) -> np.nd
     worse loses in a later round, once the agreed cases are gone, unless
     it differs from the others only below float resolution.
 
-    ``screen``, from :func:`_screen_setup`, lets a float32 product
-    (:func:`_screen`) decide the events whose float64 tie set it proves
-    to be one class, where some case has a unique best class.  The
-    others take the float64 round.
+    The screens of :func:`dalex_select` leave it some of a block's
+    events.  BLAS picks its kernels by shape, so a row of this smaller
+    product can round a few ulps apart from the same row of the whole
+    block's (as the block size itself does).  Both lie within m * eps / 2
+    of the exact fitness, well inside the tie slack, so the marks differ
+    only where a class sits within those ulps of the slack's edge.  A
+    lone row is weighed beside a copy of itself: numpy computes a
+    one-row product as a matrix-vector product (see :func:`_event_blocks`).
     """
     n = scores.shape[0]
     slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
-    weights = _flushed_softmax(scores)
-    rest = np.arange(n)
-    if screen is not None and screen.unique_min.any():
-        rows, best = _screen(weights, scores, screen)
-        rest = np.delete(np.arange(n), rows)
-        weights = np.delete(weights, rows, axis=0)
-        if rest.size == 1 and n > 1:
-            # A one-row product rounds differently (see _event_blocks); a
-            # decided row keeps it a matrix product and gets the same mark.
-            rest = np.sort(np.append(rest, 1 if rest[0] == 0 else 0))
-            weights = _flushed_softmax(scores[rest])
-    if rest.size == n:
-        fitness = weights @ class_errors.T
-        tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
-    else:
-        tied = np.zeros((n, class_errors.shape[0]), dtype=bool)
-        tied[rows, best] = True
-        if rest.size:
-            # BLAS picks its kernels by shape, so a row of this smaller
-            # product can round a few ulps apart from the same row of the
-            # whole block's (as the block size itself does).  Both lie
-            # within m * eps / 2 of the exact fitness, well inside the tie
-            # slack, so the marks differ only where a class sits within
-            # those ulps of the slack's edge.
-            fitness = weights @ class_errors.T
-            tied[rest] = fitness <= fitness.min(axis=1, keepdims=True) * slack
+    weights = _flushed_softmax(scores if n > 1 else np.repeat(scores, 2, axis=0))
+    fitness = (weights @ class_errors.T)[:n]
+    tied = fitness <= fitness.min(axis=1, keepdims=True) * slack
     # Every event marks its best class; as many marks as events is one each.
     if np.count_nonzero(tied) == n:
         return tied
@@ -1136,7 +1084,8 @@ def dalex_select(
     ``(n_events, m)``); by default scores come from
     :func:`sample_importance`, or, for normal scores on a pass the screens
     can work on, the same scores drawn in parts: each event's four
-    largest first, the rest only for the events the top screen leaves.
+    largest first, the rest only for the events :func:`_top_decide`
+    leaves.
 
     Events run in blocks (:data:`_BLOCK_ENTRIES`), so memory grows with
     the block size times k, not with ``n_events``; each event's scores
@@ -1146,13 +1095,16 @@ def dalex_select(
     (:func:`_cascade`) so that high pressure yields the lexicographic
     order the weights encode instead of float64 round-off noise.
     Screens decide the events whose final marks they can prove to be
-    one class, with the same picks as the cascade: on full score rows a
-    lexicase filter over the heaviest cases (:func:`_lex_screen`), and
-    where a heaviest case has a unique best class, a bound from the
-    heaviest cases alone (:func:`_top_decide`) and a float32 product
-    (:func:`_screen_setup`).  Partial support keeps the single-pass
-    computation, in one set of block buffers: dividing by per-class
-    support mass leaves no exact cancellation to exploit.
+    one class, with the same picks as the cascade.  Each block runs one
+    chain: on injected or sampled scores, a lexicase filter over each
+    event's heaviest cases (:func:`_lex_screen`); on scores drawn in
+    parts, a bound from the heaviest cases alone (:func:`_top_decide`),
+    whose leftover events are then completed.  A float32 product
+    (:func:`_screen_setup`) takes the full rows left, but for those the
+    filter walked from a tied heaviest case, and the cascade takes the
+    rest.  Partial support keeps the single-pass computation, in one
+    set of block buffers: dividing by per-class support mass leaves no
+    exact cancellation to exploit.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
@@ -1204,33 +1156,36 @@ def dalex_select(
             continue
         if in_parts:
             rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
-        elif screen is not None:
-            # The two take disjoint events: those whose heaviest case has
-            # a unique best class, and the others.
-            top_rows, top_classes = _top_screen(importance[lo:hi], screen)
-            lex_rows, lex_classes = _lex_screen(importance[lo:hi], screen)
-            rows = np.concatenate([top_rows, lex_rows])
-            classes = np.concatenate([top_classes, lex_classes])
+            picks[lo + rows] = classes
+            events = lo + np.delete(np.arange(hi - lo), rows)
+            scores = _complete_scores(
+                cases[events], values[events], level[events], rest.draw(events), cfg.pressure
+            )
+            rows = walked = rows[:0]
         else:
-            rows = classes = np.empty(0, dtype=np.intp)
-        picks[lo + rows] = classes
-        left = lo + np.delete(np.arange(hi - lo), rows)
-        events = left
-        if left.size == 1 and hi - lo > 1:
-            # Two rows keep the float64 round a matrix product, as a
-            # block of full rows would (see _event_blocks).
-            events = np.sort(np.append(left, lo if left[0] != lo else lo + 1))
-        if events.size:
-            if in_parts:
-                scores = _complete_scores(
-                    cases[events], values[events], level[events], rest.draw(events), cfg.pressure
-                )
-            else:
-                # A view when the screens left the whole block.
-                scores = importance[lo:hi] if events.size == hi - lo else importance[events]
-            marked = _cascade(scores, class_errors, screen)
-            chosen = _pick_marked(marked, u[events])
-            picks[left] = chosen if events.size == left.size else chosen[events == left[0]]
+            # Injected or sampled scores: full rows, which the walk takes first.
+            events, scores = np.arange(lo, hi), importance[lo:hi]
+            rows = walked = events[:0]
+            if screen is not None:
+                rows, classes, walked = _lex_screen(scores, screen)
+                picks[lo + rows] = classes
+        left = np.ones(events.size, dtype=bool)
+        left[rows] = False
+        # The float32 screen takes the full rows left but the tied events
+        # the walk took: on those most classes would stay candidates.
+        screened = np.setdiff1d(np.flatnonzero(left), walked, assume_unique=True)
+        if screen is not None and screened.size:
+            candidates, best = _screen_candidates(_flushed_softmax(scores[screened]), screen)
+            # Every row holds its best class; one candidate in all is one a row.
+            if np.count_nonzero(candidates) > screened.size:
+                alone = np.count_nonzero(candidates, axis=1) == 1
+                screened, best = screened[alone], best[alone]
+            picks[events[screened]] = best
+            left[screened] = False
+        if left.any():
+            # A view when the screens left the whole block.
+            marked = _cascade(scores if left.all() else scores[left], class_errors)
+            picks[events[left]] = _pick_marked(marked, u[events[left]])
     return picks
 
 

@@ -513,6 +513,13 @@ def float64_cascade_picks(classing, n_events, cfg, rng):
     return picks
 
 
+def float32_decided(weights, screen):
+    """The rows of ``weights`` the float32 screen decides: those left
+    with one candidate class."""
+    candidates, _ = selectors._screen_candidates(weights, screen)
+    return np.flatnonzero(np.count_nonzero(candidates, axis=1) == 1)
+
+
 class TestFloat32Screen:
     PRESSURES = (0.0, 2.0, 20.0, 200.0, 2000.0)
 
@@ -536,7 +543,7 @@ class TestFloat32Screen:
                     screen = selectors._screen_setup(selectors._shifted_errors(errors))
                     importance = sample_importance(n_events, classing.m, cfg, RandomSource(46))
                     weights = selectors._flushed_softmax(importance)
-                    decided += selectors._screen(weights, importance, screen)[0].size
+                    decided += float32_decided(weights, screen).size
         assert decided > 0
 
     def test_one_block_holds_both_routes(self):
@@ -549,28 +556,30 @@ class TestFloat32Screen:
         routed = screen.unique_min[importance[lo:hi].argmax(axis=1)]
         assert routed.any() and not routed.all()
 
-    def test_small_float64_remainder_keeps_the_picks(self):
-        # One tied case in 40: a block sends only the few events whose
-        # heaviest case it is to the float64 product, a product of a few
-        # rows for which BLAS may take other kernels than for the block.
+    def test_small_float64_remainder_keeps_the_picks(self, monkeypatch):
+        # One tied case in 40: the screens send a block's few hard events
+        # to the float64 product, a product of a few rows for which BLAS
+        # may take other kernels than for the block.
         rng = np.random.default_rng(52)
         errors = rng.random((2500, 40))
         errors[:, 0] = rng.integers(0, 3, 2500)
         classing = build_classes(errors)
         shifted = selectors._shifted_errors(classing.class_errors)
-        screen = selectors._screen_setup(shifted)
         remainders = set()
+        cascade = selectors._cascade
+
+        def recorded(scores, class_errors):
+            remainders.add(scores.shape[0])
+            return cascade(scores, class_errors)
+
         for n_events in (12, 60, 200, 1000):
             for pressure in (2.0, 200.0, 2000.0):
                 cfg = SelectorConfig("dalex", pressure=pressure)
-                picks = dalex_select(classing, n_events, cfg, RandomSource(53))
+                with monkeypatch.context() as patch:
+                    patch.setattr(selectors, "_cascade", recorded)
+                    picks = dalex_select(classing, n_events, cfg, RandomSource(53))
                 expected = float64_cascade_picks(classing, n_events, cfg, RandomSource(53))
                 np.testing.assert_array_equal(picks, expected, err_msg=str(cfg))
-                importance = sample_importance(n_events, classing.m, cfg, RandomSource(53))
-                for lo, hi in selectors._event_blocks(n_events, classing.k):
-                    weights = selectors._flushed_softmax(importance[lo:hi])
-                    rows, _ = selectors._screen(weights, importance[lo:hi], screen)
-                    remainders.add(hi - lo - rows.size)
         assert min(remainders) <= 3 and max(remainders) >= 10
         # A product of fewer rows may round a row a few ulps apart from the
         # block's product, but each lies within m * eps / 2 of the exact
@@ -606,8 +615,30 @@ class TestFloat32Screen:
             np.testing.assert_array_equal(picks, expected, err_msg=str(cfg))
             importance = sample_importance(600, m, cfg, RandomSource(56))
             weights = selectors._flushed_softmax(importance)
-            decided = selectors._screen(weights, importance, screen)[0].size
+            decided = float32_decided(weights, screen).size
             assert 0 < decided < 600 and np.unique(picks[picks < q]).size > 1
+
+    def test_decides_most_tied_events_at_low_pressure(self, monkeypatch):
+        # A floor, so a routing that keeps events whose heaviest case is
+        # tied from the float32 screen fails: at pressure 2 the walk's
+        # gate turns them all away, and the float32 product settles them.
+        errors = np.random.default_rng(57).integers(0, 6, (4000, 200)).astype(float)
+        classing = build_classes(errors)
+        cfg = SelectorConfig("dalex", pressure=2.0)
+        decided = []
+        candidates = selectors._screen_candidates
+
+        def recorded(weights, screen):
+            out = candidates(weights, screen)
+            decided.append(np.count_nonzero(np.count_nonzero(out[0], axis=1) == 1))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(selectors, "_screen_candidates", recorded)
+            picks = dalex_select(classing, 4000, cfg, RandomSource(58))
+        assert sum(decided) >= 0.9 * 4000
+        expected = float64_cascade_picks(classing, 4000, cfg, RandomSource(58))
+        np.testing.assert_array_equal(picks, expected)
 
     def test_candidates_hold_the_float64_tie_set(self):
         rng = np.random.default_rng(48)
@@ -691,14 +722,14 @@ class TestTopScreen:
             for pressure in (20.0, 2000.0):
                 cfg = SelectorConfig("dalex", pressure=pressure, distribution=distribution)
                 scores = sample_importance(300, shifted.shape[1], cfg, RandomSource(68))
-                rows, classes = selectors._top_screen(scores, screen)
+                rows, classes, _ = selectors._lex_screen(scores, screen)
                 marked = selectors._cascade(scores, shifted)
                 assert marked[rows].sum(axis=1).max(initial=1) == 1
                 np.testing.assert_array_equal(marked[rows, classes], True)
 
     def assert_decisions_match_float64_round(self, errors, scores):
         shifted = selectors._shifted_errors(build_classes(errors).class_errors)
-        rows, classes = selectors._top_screen(scores, selectors._screen_setup(shifted))
+        rows, classes, _ = selectors._lex_screen(scores, selectors._screen_setup(shifted))
         marked = selectors._cascade(scores, shifted)
         expected = np.zeros_like(marked[rows])
         expected[np.arange(rows.size), classes] = True
@@ -787,7 +818,7 @@ def unscreened_dalex_picks(monkeypatch, classing, n_events, cfg, rng, importance
     """``dalex_select``'s picks with the lexicographic screen off."""
     with monkeypatch.context() as patch:
         none = np.empty(0, dtype=np.intp)
-        patch.setattr(selectors, "_lex_screen", lambda scores, screen: (none, none))
+        patch.setattr(selectors, "_lex_screen", lambda scores, screen: (none, none, none))
         return dalex_select(classing, n_events, cfg, rng, importance)
 
 
@@ -820,8 +851,11 @@ class TestLexScreen:
         return out
 
     def test_screened_picks_equal_unscreened_picks(self, monkeypatch):
+        # Two references: the lexicographic screen off, and every screen
+        # off (the float64 cascade alone).
         decided = {}
-        for name, errors in self.matrices().items():
+        matrices = {**self.matrices(), **{f"screen {k}": v for k, v in screen_matrices().items()}}
+        for name, errors in matrices.items():
             for classing in (build_classes(errors), singleton_classes(errors)):
                 for pressure in self.PRESSURES:
                     for distribution in ("normal", "shuffled_range"):
@@ -831,12 +865,15 @@ class TestLexScreen:
                                 relaxed=relaxed,
                             )
                             picks = dalex_select(classing, 300, cfg, RandomSource(82))
-                            expected = unscreened_dalex_picks(
-                                monkeypatch, classing, 300, cfg, RandomSource(82)
-                            )
-                            np.testing.assert_array_equal(
-                                picks, expected, err_msg=f"{name} k={classing.k} {cfg}"
-                            )
+                            for expected in (
+                                unscreened_dalex_picks(
+                                    monkeypatch, classing, 300, cfg, RandomSource(82)
+                                ),
+                                float64_cascade_picks(classing, 300, cfg, RandomSource(82)),
+                            ):
+                                np.testing.assert_array_equal(
+                                    picks, expected, err_msg=f"{name} k={classing.k} {cfg}"
+                                )
                 shifted = selectors._shifted_errors(classing.class_errors)
                 screen = selectors._screen_setup(shifted)
                 if screen is not None:
@@ -856,7 +893,7 @@ class TestLexScreen:
                 for pressure in self.PRESSURES:
                     cfg = SelectorConfig("dalex", pressure=pressure)
                     scores = sample_importance(300, classing.m, cfg, RandomSource(84))
-                    rows, classes = selectors._lex_screen(scores, screen)
+                    rows, classes, _ = selectors._lex_screen(scores, screen)
                     marked = selectors._cascade(scores, shifted)
                     expected = np.zeros_like(marked[rows])
                     expected[np.arange(rows.size), classes] = True
@@ -923,8 +960,22 @@ class TestLexScreen:
         scores = sample_importance(
             4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(92)
         )
-        rows, _ = selectors._lex_screen(scores, screen)
+        rows, _, _ = selectors._lex_screen(scores, screen)
         assert rows.size >= 0.9 * 4000
+
+    def test_walk_decides_most_distinct_full_rows(self):
+        # A floor, so a walk that leaves events whose heaviest case has a
+        # unique best class fails: the rank matrix of
+        # TestTopScreen.test_most_distinct_events_skip_the_rest_of_their_scores,
+        # with full normal rows.
+        errors = np.argsort(np.random.default_rng(69).random((1000, 200)), axis=0)
+        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)
+        screen = selectors._screen_setup(shifted)
+        scores = sample_importance(
+            1000, 200, SelectorConfig("dalex", pressure=200.0), RandomSource(70)
+        )
+        rows, _, _ = selectors._lex_screen(scores, screen)
+        assert rows.size >= 0.8 * 1000
 
     def test_low_pressure_events_skip_the_walk(self):
         # At pressure 2 the tail term alone rules every event out.
@@ -974,10 +1025,10 @@ class TestLexScreen:
         cfg = SelectorConfig("dalex", pressure=200.0)
         scores = sample_importance(300, classing.m, cfg, RandomSource(98))
         screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
-        rows, classes = selectors._lex_screen(scores, screen)
+        rows, classes, _ = selectors._lex_screen(scores, screen)
         picks = dalex_select(classing, 300, cfg, RandomSource(99))
         monkeypatch.delattr(np, "bitwise_count", raising=False)
-        fallback_rows, fallback_classes = selectors._lex_screen(scores, screen)
+        fallback_rows, fallback_classes, _ = selectors._lex_screen(scores, screen)
         assert rows.size > 0
         np.testing.assert_array_equal(fallback_rows, rows)
         np.testing.assert_array_equal(fallback_classes, classes)
