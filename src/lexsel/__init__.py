@@ -27,6 +27,7 @@ from .core import (
 from .evolve import (
     PROBLEM_KINDS,
     GenerationRecord,
+    Population,
     RunResult,
     SyntheticProblem,
     downsample_cases,
@@ -109,6 +110,7 @@ __all__ = [
     "FidelitySummary",
     "aggregate_fidelity",
     "PROBLEM_KINDS",
+    "Population",
     "SyntheticProblem",
     "GenerationRecord",
     "RunResult",

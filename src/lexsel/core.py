@@ -164,8 +164,9 @@ class EquivalenceClassing:
     individual ``i`` and ``counts[c]`` the number of individuals in class
     ``c``; both are read-only because every caller shares them.  With
     full support ``class_support`` may be a read-only broadcast of ones.
-    ``full_support`` and the member order used by expansion are computed
-    on first access and cached.
+    ``full_support`` is set when the classing is built without support.
+    Otherwise it, like the member order used by expansion, is computed on
+    first access and cached.
     """
 
     class_errors: np.ndarray
@@ -242,9 +243,12 @@ def _classing(E: np.ndarray, S: np.ndarray | None, inverse: np.ndarray) -> Equiv
     counts = np.bincount(inverse, minlength=k)
     inverse.flags.writeable = False
     counts.flags.writeable = False
-    if S is None:
-        S = np.broadcast_to(np.ones(1), (k, m))
-    return EquivalenceClassing(E, S, inverse, counts)
+    if S is not None:
+        return EquivalenceClassing(E, S, inverse, counts)
+    classing = EquivalenceClassing(E, np.broadcast_to(np.ones(1), (k, m)), inverse, counts)
+    # Known here, so no pass pays for comparing k x m ones.
+    classing.__dict__["full_support"] = True
+    return classing
 
 
 def build_classes(errors, support=None) -> EquivalenceClassing:

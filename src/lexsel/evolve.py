@@ -38,6 +38,7 @@ from .selectors import SelectorConfig, select_classes
 
 __all__ = [
     "PROBLEM_KINDS",
+    "Population",
     "SyntheticProblem",
     "GenerationRecord",
     "RunResult",
@@ -54,6 +55,49 @@ _INIT_STREAM = 10
 _SELECT_STREAM = 11
 _MUTATE_STREAM = 12
 _DOWNSAMPLE_STREAM = 13
+
+
+def _positions(lengths: np.ndarray) -> np.ndarray:
+    """Each element's position within its segment, for segments of the
+    given lengths laid end to end."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Variable-length genomes packed end to end.
+
+    ``tokens`` holds every genome's int64 tokens in population order and
+    ``lengths[i]`` is the length of genome ``i``.
+    """
+
+    tokens: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def pack(cls, genomes) -> Population:
+        arrays = [np.asarray(g, dtype=np.int64) for g in genomes]
+        lengths = np.array([a.size for a in arrays], dtype=np.int64)
+        tokens = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return cls(tokens, lengths)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset of each genome's first token in ``tokens``."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    def genome(self, i: int) -> np.ndarray:
+        start = int(self.starts[i])
+        return self.tokens[start : start + int(self.lengths[i])]
+
+    def take(self, rows: np.ndarray) -> Population:
+        """The genomes at ``rows``, in that order (repeats allowed)."""
+        lengths = self.lengths[rows]
+        index = np.repeat(self.starts[rows], lengths) + _positions(lengths)
+        return Population(self.tokens[index], lengths)
 
 
 @dataclass
@@ -107,54 +151,67 @@ class SyntheticProblem:
         length = 4 if self.kind == "continuous_vector" else self.init_genome_length
         return gen.integers(0, self.token_range, length)
 
-    def _decode_table(self, genome: np.ndarray) -> np.ndarray:
-        """Read the genome as (key, value) pairs; first pair per key wins.
+    def _decode_tables(self, population: Population) -> np.ndarray:
+        """Read each genome as (key, value) pairs; first pair per key wins.
 
-        Returns a length-n_keys answer table with -1 for missing keys.
+        Returns an (n, n_keys) answer table with -1 for missing keys.  A
+        trailing odd token is ignored.  All pairs land in one scatter over
+        (genome, key) slots, reversed so that the first pair is written
+        last.
         """
-        pairs = genome[: 2 * (genome.size // 2)].reshape(-1, 2)
-        keys = pairs[:, 0] % self.n_keys
-        vals = pairs[:, 1] % self.n_values
-        answers = np.full(self.n_keys, -1, dtype=np.int64)
-        answers[keys[::-1]] = vals[::-1]
-        return answers
+        n = len(population)
+        pairs = population.lengths // 2
+        owner = np.repeat(np.arange(n), pairs)
+        heads = population.starts[owner] + 2 * _positions(pairs)
+        tokens = population.tokens
+        slots = owner * self.n_keys + tokens[heads] % self.n_keys
+        answers = np.full(n * self.n_keys, -1, dtype=np.int64)
+        answers[slots[::-1]] = (tokens[heads + 1] % self.n_values)[::-1]
+        return answers.reshape(n, self.n_keys)
 
-    def _decode_coeffs(self, genome: np.ndarray) -> np.ndarray:
-        coeffs = np.zeros(4)
-        head = genome[:4]
-        coeffs[: head.size] = ((head % 201) - 100) / 50.0
+    def _decode_coeffs(self, population: Population) -> np.ndarray:
+        """(n, 4) cubic coefficients from each genome's first four tokens,
+        lowest degree first; missing tokens give 0."""
+        coeffs = np.zeros((len(population), 4))
+        position = _positions(population.lengths)
+        head = np.flatnonzero(position < 4)
+        owner = np.repeat(np.arange(len(population)), population.lengths)
+        coeffs[owner[head], position[head]] = ((population.tokens[head] % 201) - 100) / 50.0
         return coeffs
 
-    def _rows_for(
-        self, genome: np.ndarray, keys: np.ndarray, targets
+    def _score(
+        self, population: Population, keys: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(errors, support or None) of every genome on the given cases."""
         if self.kind == "continuous_vector":
-            pred = np.polyval(self._decode_coeffs(genome)[::-1], keys)
+            # Horner's rule in np.polyval's operation order, one row per genome.
+            coeffs = self._decode_coeffs(population)
+            pred = np.zeros((len(population), keys.size))
+            for j in range(3, -1, -1):
+                pred = pred * keys + coeffs[:, j, None]
             return (pred - targets) ** 2, None
-        answers = self._decode_table(genome)
-        got = answers[keys]
+        got = self._decode_tables(population)[:, keys]
         covered = got >= 0
         if self.kind == "discrete_vector":
-            errors = np.where(covered, np.abs(got - targets), self.worst_error)
-            return errors.astype(np.float64), None
-        if not covered.any():
-            # A rule list matching nothing is scored as worst-case
-            # everywhere so the support matrix keeps a 1 per row.
-            return np.full(keys.size, self.worst_error), np.ones(keys.size)
+            return np.where(covered, np.abs(got - targets), self.worst_error), None
         errors = np.where(covered, np.abs(got - targets), 0).astype(np.float64)
-        return errors, covered.astype(np.float64)
+        support = covered.astype(np.float64)
+        # A rule list matching nothing is scored as worst-case everywhere
+        # so the support matrix keeps a 1 per row.
+        blank = ~covered.any(axis=1)
+        errors[blank] = self.worst_error
+        support[blank] = 1.0
+        return errors, support
 
     def evaluate(self, genomes) -> tuple[np.ndarray, np.ndarray | None]:
-        """Score genomes on the train cases: (errors, support or None)."""
+        """Score genomes on the train cases: (errors, support or None).
+
+        ``genomes`` is a :class:`Population` or a sequence of genomes.
+        """
+        population = genomes if isinstance(genomes, Population) else Population.pack(genomes)
         if self.kind == "continuous_vector":
-            keys, targets = self._train_x, self._train_y
-        else:
-            keys, targets = self._train_keys, self._train_targets
-        rows = [self._rows_for(np.asarray(g, dtype=np.int64), keys, targets) for g in genomes]
-        errors = np.array([r[0] for r in rows])
-        if self.kind != "partial_support":
-            return errors, None
-        return errors, np.array([r[1] for r in rows])
+            return self._score(population, self._train_x, self._train_y)
+        return self._score(population, self._train_keys, self._train_targets)
 
     def is_success(self, genome) -> bool:
         """True when the genome has zero error on train and test cases.
@@ -162,48 +219,53 @@ class SyntheticProblem:
         Partial-support genomes must also cover every case; undefined
         cases do not count as solved.
         """
-        genome = np.asarray(genome, dtype=np.int64)
+        population = Population.pack([genome])
         if self.kind == "continuous_vector":
-            train, _ = self._rows_for(genome, self._train_x, self._train_y)
-            test, _ = self._rows_for(genome, self._test_x, self._test_y)
-            return bool((train == 0).all() and (test == 0).all())
-        train, train_sup = self._rows_for(genome, self._train_keys, self._train_targets)
-        test, test_sup = self._rows_for(genome, self._test_keys, self._test_targets)
-        for errors, support in ((train, train_sup), (test, test_sup)):
-            if (errors != 0).any():
-                return False
-            if self.kind == "partial_support" and support is not None and (support == 0).any():
+            cases = ((self._train_x, self._train_y), (self._test_x, self._test_y))
+        else:
+            cases = (
+                (self._train_keys, self._train_targets),
+                (self._test_keys, self._test_targets),
+            )
+        for keys, targets in cases:
+            errors, support = self._score(population, keys, targets)
+            if (errors != 0).any() or (support is not None and (support == 0).any()):
                 return False
         return True
 
 
 def umad_mutate(
-    genome, rate: float, token_range: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Uniform mutation by addition and deletion.
+    population: Population, rate: float, token_range: int, gen: np.random.Generator
+) -> Population:
+    """Uniform mutation by addition and deletion, one child per genome.
 
     Each position independently gains a random new token before it with
     probability ``rate``; then each position of the grown genome is
     independently deleted with probability ``rate / (1 + rate)``.  The
     deletion rate is chosen so the expected length change is zero.
+
+    The whole population takes three draws, in this order: uniforms over
+    every token (insertions), the new tokens, uniforms over every grown
+    token (deletions).  A one-genome population draws exactly what a
+    per-genome mutation would.
     """
     if not np.isfinite(rate) or rate < 0:
         raise ConfigError(f"rate: must be finite and >= 0, got {rate}")
     if token_range < 1:
         raise ConfigError(f"token_range: must be >= 1, got {token_range}")
-    g = np.asarray(genome, dtype=np.int64)
-    add_mask = gen.random(g.size) < rate
-    n_add = int(add_mask.sum())
-    if n_add:
-        new_tokens = gen.integers(0, token_range, n_add)
-        grown = np.empty(g.size + n_add, dtype=np.int64)
-        slots = np.arange(g.size) + np.cumsum(add_mask)
-        grown[slots] = g
-        grown[slots[add_mask] - 1] = new_tokens
-    else:
-        grown = g.copy()
+    tokens, lengths = population.tokens, population.lengths
+    n = lengths.size
+    owner = np.repeat(np.arange(n), lengths)
+    add = gen.random(tokens.size) < rate
+    # A zero-size draw consumes no generator state.
+    new_tokens = gen.integers(0, token_range, int(np.count_nonzero(add)))
+    slots = np.arange(tokens.size) + np.cumsum(add)
+    grown = np.empty(tokens.size + new_tokens.size, dtype=np.int64)
+    grown[slots] = tokens
+    grown[slots[add] - 1] = new_tokens
+    grown_owner = np.repeat(np.arange(n), lengths + np.bincount(owner[add], minlength=n))
     keep = gen.random(grown.size) >= rate / (1.0 + rate)
-    return grown[keep]
+    return Population(grown[keep], np.bincount(grown_owner[keep], minlength=n))
 
 
 def downsample_cases(m: int, rate: float, rng: RandomSource) -> np.ndarray:
@@ -305,7 +367,9 @@ def run_evolution(
             f"pop_size and generations must be >= 1, got {pop_size}, {generations}"
         )
     init_gen = rng.generator(_INIT_STREAM)
-    genomes = [problem.initial_genome(init_gen) for _ in range(pop_size)]
+    population = Population.pack(
+        [problem.initial_genome(init_gen) for _ in range(pop_size)]
+    )
 
     records: list[GenerationRecord] = []
     parent_history: list[np.ndarray] = []
@@ -313,7 +377,7 @@ def run_evolution(
     success_index: int | None = None
 
     for t in range(generations):
-        errors, support = problem.evaluate(genomes)
+        errors, support = problem.evaluate(population)
         totals = errors.sum(axis=1)
         record = GenerationRecord(
             generation=t,
@@ -324,7 +388,7 @@ def run_evolution(
         records.append(record)
 
         for i in np.flatnonzero(totals == 0.0):
-            if problem.is_success(genomes[i]):
+            if problem.is_success(population.genome(i)):
                 success_generation = t
                 success_index = int(i)
                 break
@@ -353,11 +417,12 @@ def run_evolution(
             on_generation(t, classing, parents)
         parent_history.append(parents)
 
-        mutate_gen = rng.generator(_MUTATE_STREAM, t)
-        genomes = [
-            umad_mutate(genomes[p], umad_rate, problem.token_range, mutate_gen)
-            for p in parents
-        ]
+        population = umad_mutate(
+            population.take(parents),
+            umad_rate,
+            problem.token_range,
+            rng.generator(_MUTATE_STREAM, t),
+        )
 
     if success_generation is not None:
         # Walk the successful individual's ancestry back to generation 0.

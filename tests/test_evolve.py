@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lexsel import (
+    Population,
     RandomSource,
     SelectorConfig,
     SyntheticProblem,
@@ -12,8 +13,14 @@ from lexsel import (
     run_evolution,
     umad_mutate,
 )
+from lexsel import evolve as evolve_module
 from lexsel.evolve import _slice_cases
 from lexsel.exceptions import ConfigError, ShapeError
+
+
+def mutate_one(genome, rate, token_range, gen):
+    """Mutate a single genome through the population kernel."""
+    return umad_mutate(Population.pack([genome]), rate, token_range, gen).tokens
 
 
 def perfect_genome(problem):
@@ -41,14 +48,14 @@ class TestSyntheticProblem:
     def test_decode_first_pair_wins(self):
         problem = SyntheticProblem(kind="discrete_vector", m=6, seed=1, n_keys=3, n_values=5)
         # key 1 appears twice; the first value (4) must stick
-        answers = problem._decode_table(np.array([1, 4, 1, 2, 0, 3]))
+        answers = problem._decode_tables(Population.pack([np.array([1, 4, 1, 2, 0, 3])]))[0]
         assert answers[1] == 4
         assert answers[0] == 3
         assert answers[2] == -1
 
     def test_decode_wraps_tokens(self):
         problem = SyntheticProblem(kind="discrete_vector", m=6, seed=1, n_keys=3, n_values=5)
-        answers = problem._decode_table(np.array([4, 7]))
+        answers = problem._decode_tables(Population.pack([np.array([4, 7])]))[0]
         assert answers[4 % 3] == 7 % 5
 
     def test_discrete_evaluation(self):
@@ -101,34 +108,229 @@ class TestUmadMutate:
     def test_zero_rate_is_identity(self):
         gen = np.random.default_rng(1)
         genome = np.arange(20)
-        np.testing.assert_array_equal(umad_mutate(genome, 0.0, 50, gen), genome)
+        np.testing.assert_array_equal(mutate_one(genome, 0.0, 50, gen), genome)
 
     def test_tokens_stay_in_range(self):
         gen = np.random.default_rng(2)
         genome = np.zeros(100, dtype=np.int64)
         for _ in range(20):
-            genome = umad_mutate(genome, 0.3, 7, gen)
+            genome = mutate_one(genome, 0.3, 7, gen)
             assert genome.size == 0 or (0 <= genome).all() and (genome < 7).all()
 
     def test_expected_length_change_is_zero(self):
         gen = np.random.default_rng(3)
         genome = np.zeros(100_000, dtype=np.int64)
-        out = umad_mutate(genome, 0.09, 10, gen)
+        out = mutate_one(genome, 0.09, 10, gen)
         assert abs(out.size - genome.size) / genome.size < 0.01
 
     def test_surviving_tokens_keep_relative_order(self):
         gen = np.random.default_rng(4)
         genome = np.arange(1000) + 10_000
-        out = umad_mutate(genome, 0.2, 10, gen)
+        out = mutate_one(genome, 0.2, 10, gen)
         original = out[out >= 10_000]
         assert (np.diff(original) > 0).all()
 
     def test_rate_validation(self):
         gen = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            umad_mutate(np.arange(3), -0.1, 10, gen)
+            mutate_one(np.arange(3), -0.1, 10, gen)
         with pytest.raises(ConfigError):
-            umad_mutate(np.arange(3), 0.1, 0, gen)
+            mutate_one(np.arange(3), 0.1, 0, gen)
+
+
+def reference_rows(problem, genome, keys, targets):
+    """One genome's (errors, support) on the given cases, computed the
+    per-genome way: decode a table or coefficients, then score."""
+    if problem.kind == "continuous_vector":
+        coeffs = np.zeros(4)
+        head = genome[:4]
+        coeffs[: head.size] = ((head % 201) - 100) / 50.0
+        pred = np.polyval(coeffs[::-1], keys)
+        return (pred - targets) ** 2, None
+    pairs = genome[: 2 * (genome.size // 2)].reshape(-1, 2)
+    answers = np.full(problem.n_keys, -1, dtype=np.int64)
+    answers[(pairs[:, 0] % problem.n_keys)[::-1]] = (pairs[:, 1] % problem.n_values)[::-1]
+    got = answers[keys]
+    covered = got >= 0
+    if problem.kind == "discrete_vector":
+        errors = np.where(covered, np.abs(got - targets), problem.worst_error)
+        return errors.astype(np.float64), None
+    if not covered.any():
+        return np.full(keys.size, problem.worst_error), np.ones(keys.size)
+    errors = np.where(covered, np.abs(got - targets), 0).astype(np.float64)
+    return errors, covered.astype(np.float64)
+
+
+def reference_evaluate(problem, genomes):
+    if problem.kind == "continuous_vector":
+        keys, targets = problem._train_x, problem._train_y
+    else:
+        keys, targets = problem._train_keys, problem._train_targets
+    rows = [reference_rows(problem, np.asarray(g, dtype=np.int64), keys, targets) for g in genomes]
+    errors = np.array([r[0] for r in rows])
+    if problem.kind != "partial_support":
+        return errors, None
+    return errors, np.array([r[1] for r in rows])
+
+
+def reference_umad(genome, rate, token_range, gen):
+    """Per-genome UMAD: insertion uniforms, new tokens only when some
+    insertion happens, then deletion uniforms over the grown genome."""
+    g = np.asarray(genome, dtype=np.int64)
+    add_mask = gen.random(g.size) < rate
+    n_add = int(add_mask.sum())
+    if n_add:
+        new_tokens = gen.integers(0, token_range, n_add)
+        grown = np.empty(g.size + n_add, dtype=np.int64)
+        slots = np.arange(g.size) + np.cumsum(add_mask)
+        grown[slots] = g
+        grown[slots[add_mask] - 1] = new_tokens
+    else:
+        grown = g.copy()
+    keep = gen.random(grown.size) >= rate / (1.0 + rate)
+    return grown[keep]
+
+
+def assert_bit_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def edge_genomes(problem, gen):
+    """Empty, one-token, odd-length and short genomes, then random ones."""
+    r = problem.token_range
+    genomes = [
+        np.array([], dtype=np.int64),
+        np.array([3]),
+        np.array([1, 2, 3]),
+        np.array([r - 1, 0, 5, 2, 7]),
+        np.array([100, 250]),
+        np.array([0, 0, 0]),
+    ]
+    genomes += [gen.integers(0, 3 * r, int(gen.integers(0, 14))) for _ in range(60)]
+    return genomes
+
+
+class TestPackedEvaluate:
+    KINDS = ("discrete_vector", "continuous_vector", "partial_support")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_genome_reference(self, kind, seed):
+        gen = np.random.default_rng(seed)
+        problem = SyntheticProblem(kind=kind, m=13 + seed, seed=seed, n_keys=(None, 4, 9)[seed])
+        genomes = edge_genomes(problem, gen)
+        errors, support = problem.evaluate(genomes)
+        ref_errors, ref_support = reference_evaluate(problem, genomes)
+        assert_bit_equal(errors, ref_errors)
+        if ref_support is None:
+            assert support is None
+        else:
+            assert_bit_equal(support, ref_support)
+        packed_errors, _ = problem.evaluate(Population.pack(genomes))
+        assert_bit_equal(packed_errors, ref_errors)
+
+    def test_partial_genomes_covering_no_key(self):
+        # n_keys exceeds m, so keys past the train cases cover nothing.
+        problem = SyntheticProblem(kind="partial_support", m=4, seed=5, n_keys=10)
+        genomes = [np.array([7, 1]), np.array([8, 2, 9, 3]), np.array([0, 1, 8, 2])]
+        errors, support = problem.evaluate(genomes)
+        ref_errors, ref_support = reference_evaluate(problem, genomes)
+        assert_bit_equal(errors, ref_errors)
+        assert_bit_equal(support, ref_support)
+        np.testing.assert_array_equal(support[:2], np.ones((2, 4)))
+        np.testing.assert_array_equal(errors[:2], np.full((2, 4), problem.worst_error))
+        assert support[2].sum() == 1.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_is_success_matches_reference(self, kind):
+        problem = SyntheticProblem(kind=kind, m=6, seed=8, n_keys=3)
+        genomes = edge_genomes(problem, np.random.default_rng(8))
+        if kind != "continuous_vector":
+            genomes.append(perfect_genome(problem))
+        cases = (
+            ((problem._train_x, problem._train_y), (problem._test_x, problem._test_y))
+            if kind == "continuous_vector"
+            else (
+                (problem._train_keys, problem._train_targets),
+                (problem._test_keys, problem._test_targets),
+            )
+        )
+        for genome in genomes:
+            expected = True
+            for keys, targets in cases:
+                errors, support = reference_rows(problem, genome, keys, targets)
+                if (errors != 0).any() or (support is not None and (support == 0).any()):
+                    expected = False
+            assert problem.is_success(genome) == expected
+        if kind != "continuous_vector":
+            assert problem.is_success(genomes[-1])
+
+
+class TestPopulation:
+    def test_pack_take_and_genome(self):
+        genomes = [np.array([5, 6, 7]), np.array([], dtype=np.int64), np.array([8])]
+        population = Population.pack(genomes)
+        np.testing.assert_array_equal(population.lengths, [3, 0, 1])
+        assert len(population) == 3
+        for i, genome in enumerate(genomes):
+            np.testing.assert_array_equal(population.genome(i), genome)
+        taken = population.take(np.array([2, 0, 0, 1]))
+        np.testing.assert_array_equal(taken.tokens, [8, 5, 6, 7, 5, 6, 7])
+        np.testing.assert_array_equal(taken.lengths, [1, 3, 3, 0])
+
+
+class TestPopulationUmad:
+    @pytest.mark.parametrize("rate", [0.0, 0.02, 0.09, 0.5, 2.0])
+    def test_one_genome_matches_reference(self, rate):
+        no_insertion = 0
+        for seed in range(40):
+            genome = np.random.default_rng([seed, 0]).integers(0, 30, seed % 17)
+            a = np.random.default_rng([seed, 1])
+            b = np.random.default_rng([seed, 1])
+            expected = reference_umad(genome, rate, 11, a)
+            probe = np.random.default_rng([seed, 1])
+            no_insertion += not (probe.random(genome.size) < rate).any()
+            child = umad_mutate(Population.pack([genome]), rate, 11, b)
+            np.testing.assert_array_equal(child.tokens, expected)
+            np.testing.assert_array_equal(child.lengths, [expected.size])
+            # Both drew exactly the same numbers.
+            assert a.bit_generator.state == b.bit_generator.state
+        assert no_insertion > 0
+
+    def test_zero_size_draw_consumes_no_state(self):
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        assert gen.integers(0, 10, 0).size == 0
+        assert gen.bit_generator.state == state
+
+    def test_zero_rate_returns_parents(self):
+        parents = Population.pack([np.arange(5), np.array([], dtype=np.int64), np.array([9, 9])])
+        child = umad_mutate(parents, 0.0, 7, np.random.default_rng(0))
+        np.testing.assert_array_equal(child.tokens, parents.tokens)
+        np.testing.assert_array_equal(child.lengths, parents.lengths)
+
+    def test_children_keep_parent_tokens_or_draw_new_ones(self):
+        token_range = 7
+        gen = np.random.default_rng(5)
+        # Parent i's tokens are 1000 * (i + 1) + position: unique and out of range.
+        genomes = [1000 * (i + 1) + np.arange(i % 9) for i in range(200)]
+        children = umad_mutate(Population.pack(genomes), 0.3, token_range, gen)
+        assert len(children) == len(genomes)
+        for i, genome in enumerate(genomes):
+            child = children.genome(i)
+            kept = child[child >= token_range]
+            assert np.isin(kept, genome).all()
+            assert (np.diff(kept) > 0).all()
+            assert (child[child < token_range] >= 0).all()
+
+    def test_same_seed_same_children(self):
+        genomes = Population.pack([np.arange(i) for i in range(50)])
+        a = umad_mutate(genomes, 0.2, 13, np.random.default_rng(9))
+        b = umad_mutate(genomes, 0.2, 13, np.random.default_rng(9))
+        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a.lengths, b.lengths)
 
 
 class TestDownsampleCases:
@@ -288,6 +490,24 @@ class TestRunEvolution:
     def test_argument_validation(self):
         with pytest.raises(ConfigError):
             run_evolution(self.problem(), SelectorConfig(method="lexicase"), 0, 5, RandomSource(0))
+
+    def test_one_evaluate_and_one_mutation_per_generation(self, monkeypatch):
+        calls = {"evaluate": 0, "umad_mutate": 0}
+        evaluate, mutate = SyntheticProblem.evaluate, evolve_module.umad_mutate
+
+        def counting_evaluate(problem, genomes):
+            calls["evaluate"] += 1
+            return evaluate(problem, genomes)
+
+        def counting_mutate(*args):
+            calls["umad_mutate"] += 1
+            return mutate(*args)
+
+        monkeypatch.setattr(SyntheticProblem, "evaluate", counting_evaluate)
+        monkeypatch.setattr(evolve_module, "umad_mutate", counting_mutate)
+        result = run_evolution(self.problem(), SelectorConfig(method="dalex"), 20, 3, RandomSource(1))
+        assert not result.success
+        assert calls == {"evaluate": 3, "umad_mutate": 3}
 
 
 class TestFidelityTrace:
