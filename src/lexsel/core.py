@@ -216,15 +216,24 @@ def _group_rows(keyed: np.ndarray):
     rows together in ascending index order and a run's head is its first
     occurrence.  Neighbours are compared as rows of 64-bit words, the
     same bytes as the opaque values: several times faster than their
-    ``!=`` where rows repeat, a little slower where all differ.
+    ``!=`` where rows repeat.  Where most neighbours differ in their
+    first word, only the pairs whose first words agree are compared
+    whole, which halves the time on all-distinct rows.
     """
     n = keyed.shape[0]
     rows = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
     order = np.argsort(rows, kind="stable")
-    ordered = keyed.view(np.uint64)[order]
+    words = keyed.view(np.uint64)
     head = np.empty(n, dtype=bool)
     head[0] = True
-    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = words[order, 0]
+    same = np.flatnonzero(first[1:] == first[:-1])
+    if 2 * same.size > n:
+        ordered = words[order]
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    else:
+        head[1:] = True
+        head[same + 1] = (words[order[same + 1]] != words[order[same]]).any(axis=1)
     firsts = order[head]
     if firsts.size == n:
         return np.arange(n, dtype=np.int64), None

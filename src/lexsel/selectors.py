@@ -570,6 +570,9 @@ _LOG_FLOOR = float(np.log(_FLOOR))
 # The top screen's class-wide pass takes only events whose cases past the
 # heaviest three weigh at most this much of the heaviest one each.
 _LOG_LIGHT_TAIL = float(np.log(2.0**-20))
+# The class-wide pass first bounds this many classes of least error on an
+# event's heaviest case (:meth:`_Screen.heads`).
+_HEAD = 64
 # The largest shifted error the screen takes: every float32 fitness and
 # threshold then stays below the float32 maximum.
 _F32_ROOM = float(np.finfo(np.float32).max) / 4
@@ -585,7 +588,10 @@ def _gamma(n: int, u: float) -> float:
 
 @dataclass
 class _Screen:
-    """The per-pass inputs of the screens (see :func:`_screen_setup`)."""
+    """The per-pass inputs of the screens (see :func:`_screen_setup`).
+    Inputs only some passes need are built on first use: the float32
+    errors, the elite bitsets, and each case's head for
+    :func:`_top_decide`'s class-wide pass."""
 
     errors_t: np.ndarray  # the shifted errors, case major (a view)
     unique_min: np.ndarray  # which cases have a unique best class
@@ -610,6 +616,27 @@ class _Screen:
         """Each case's zeros as bitsets over classes (:func:`_bitsets`),
         made once a pass."""
         return _bitsets(self.errors_t == 0)
+
+    @cached_property
+    def _head_cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = self.errors_t.shape[0]
+        return np.zeros(m, dtype=bool), np.empty((m, _HEAD), dtype=np.intp), np.empty(m)
+
+    def heads(self, cases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The head of each of ``cases`` (k > :data:`_HEAD` only): its
+        ``_HEAD`` classes of least error, by class index, and ``rest``,
+        the least error of any other class.  Each case's head is built
+        the first time it is asked for, once a pass."""
+        built, heads, rest = self._head_cache
+        new = np.unique(cases[~built[cases]])
+        if new.size:
+            errors = self.errors_t[new]
+            # Position _HEAD holds the least error outside the head.
+            part = np.argpartition(errors, _HEAD, axis=1)
+            heads[new] = np.sort(part[:, :_HEAD], axis=1)
+            rest[new] = errors[np.arange(new.size), part[:, _HEAD]]
+            built[new] = True
+        return heads[cases], rest[cases]
 
 
 def _bitsets(marks: np.ndarray) -> np.ndarray:
@@ -745,6 +772,17 @@ def _top_decide(cases: np.ndarray, values: np.ndarray, screen) -> tuple[np.ndarr
     decided by a first pass that needs no class-wide work: e_b1 = 0 in
     U_b, and every other class has L_c >= e2, the runner-up's error on
     the heaviest case.
+
+    The class-wide pass, for the events left with a light tail, weighs
+    only the head of the heaviest case j1 (:meth:`_Screen.heads`): its
+    ``_HEAD`` classes of least e_c1, with ``rest`` the least e_c1 of any
+    other class.  When the head's class a has U_a's bound below ``rest``
+    the head decides alone, since every class outside it has
+    L_c >= e_c1 >= rest, in floating point too: adding non-negative
+    terms never lowers a sum.  The class of least L is then the same as
+    over every class (the head is in class order, so ties go to the
+    first), and so is the decision.  Other events, and every event when
+    k <= ``_HEAD``, weigh every class.
     """
     errors_t, sums = screen.errors_t, screen.sums
     factor, absolute = screen.top_factor, screen.top_absolute
@@ -768,22 +806,49 @@ def _top_decide(cases: np.ndarray, values: np.ndarray, screen) -> tuple[np.ndarr
         left = np.flatnonzero(~alone & (z[:, -1] < _LOG_LIGHT_TAIL)) if r > 1 else []
         if len(left):
             events = rows[left]
-            lower = errors_t[cases[events, 0]]
-            for t in range(1, r - 1):
-                # Subnormal factors would slow the class-wide products
-                # down a hundredfold; dropping a term keeps L a lower
-                # bound, and raising the last exponent keeps U an upper one.
-                wt = w[left, t - 1]
-                wt[wt < _FLOOR] = 0.0
-                lower += wt[:, None] * errors_t[cases[events, t]]
+            top = cases[events, : r - 1]
+            # Subnormal factors would slow the class-wide products down a
+            # hundredfold; dropping a term keeps L a lower bound, and
+            # raising the last exponent keeps U an upper one.
+            weights = w[left, : r - 2]
+            weights[weights < _FLOOR] = 0.0
             tail = np.exp(np.maximum(z[left, -1], _LOG_FLOOR))
-            # The class of least L, and its U.
-            a = lower.argmin(axis=1)
-            bound = factor * (lower[np.arange(left.size), a] + tail * sums[a]) + absolute
-            only = np.count_nonzero(lower > bound[:, None], axis=1) == lower.shape[1] - 1
-            decided.append(events[only])
-            classes.append(a[only])
+            if errors_t.shape[1] > _HEAD:
+                heads, rest = screen.heads(top[:, 0])
+                only, a, bound = _class_wide(top, weights, tail, screen, heads)
+                # Outside the head L_c >= e_c1 >= rest > bound.
+                inside = bound < rest
+                decided.append(events[only & inside])
+                classes.append(a[only & inside])
+                out = ~inside
+                events, top, weights, tail = events[out], top[out], weights[out], tail[out]
+            if events.size:
+                only, a, _ = _class_wide(top, weights, tail, screen)
+                decided.append(events[only])
+                classes.append(a[only])
     return np.concatenate(decided), np.concatenate(classes)
+
+
+def _class_wide(top, weights, tail, screen, columns=None):
+    """:func:`_top_decide`'s class-wide test of the events whose heaviest
+    cases are the rows of ``top``, over every class or over each event's
+    row of ``columns`` (class indices, ascending).  Returns which events
+    it decides, the class of least L over those it weighs (the first of
+    equals, as over every class), and that class's bound on U."""
+    errors_t = screen.errors_t
+
+    def gather(t):
+        return errors_t[top[:, t]] if columns is None else errors_t[top[:, t, None], columns]
+
+    lower = gather(0)
+    for t in range(1, top.shape[1]):
+        lower += weights[:, t - 1, None] * gather(t)
+    at = np.arange(top.shape[0])
+    a = lower.argmin(axis=1)
+    least = a if columns is None else columns[at, a]
+    bound = screen.top_factor * (lower[at, a] + tail * screen.sums[least]) + screen.top_absolute
+    only = np.count_nonzero(lower > bound[:, None], axis=1) == lower.shape[1] - 1
+    return only, least, bound
 
 
 def _set_bits(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

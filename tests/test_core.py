@@ -91,6 +91,21 @@ def grouping_instances():
     yield "k = 1", np.tile([[1.5, 0.0, 2.0]], (6, 1)), None
     yield "k = 1, partial", np.tile([[1.5, 0.0, 2.0]], (6, 1)), np.tile([[1.0, 0.0, 1.0]], (6, 1))
     yield "all distinct", wide, None
+    yield "first word shared, most rows distinct", *first_word_rows(rng, 30, 8)
+    yield "first word shared, most rows agreeing", *first_word_rows(rng, 6, 30)
+
+
+def first_word_rows(rng, distinct, twins):
+    """``distinct`` rows and ``twins`` rows that copy one of them but
+    differ only in the last column, only in a middle one, or nowhere, so
+    sorted neighbours agree in their first word whether or not they are
+    equal.  Shuffled; returns (errors, None)."""
+    base = rng.random((distinct, 6))
+    copies = base[rng.integers(0, distinct, twins)]
+    copies[0::3, -1] += 1.0
+    copies[1::3, 3] += 1.0
+    rows = np.vstack([base, copies])
+    return rows[rng.permutation(len(rows))], None
 
 
 class TestRandomSource:
@@ -159,6 +174,19 @@ class TestBuildClasses:
 
     def test_signed_zero_rows_grouped_together(self):
         assert build_classes([[0.0], [-0.0]]).k == 1
+
+    def test_rows_differing_after_their_first_word_stay_apart(self):
+        # Neighbours agreeing in the first word are compared whole: rows
+        # differing only in the last word are separate classes.
+        distinct = np.arange(40, dtype=float)[:, None] + np.zeros((40, 4))
+        last = distinct[:3].copy()
+        last[:, -1] += 0.5
+        middle = distinct[3:5].copy()
+        middle[:, 1] += 0.5
+        errors = np.vstack([distinct, last, middle, distinct[:2]])
+        classing = build_classes(errors)
+        assert classing.k == 45
+        assert_groups(classing, [[0, 45], [1, 46], *([c] for c in range(2, 45))])
 
     def test_matches_pairwise_definition_on_fuzz(self):
         rng = np.random.default_rng(42)

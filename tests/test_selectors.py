@@ -3,6 +3,7 @@
 import statistics
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -670,6 +671,43 @@ class TestFloat32Screen:
                 assert not (tied & ~candidates).any()
 
 
+def dense_top_decide(cases, values, screen):
+    """``selectors._top_decide`` with a class-wide pass that weighs every
+    class, as before heads.  Returns the decided events and their classes,
+    and the events the class-wide pass decides with their bounds on U."""
+    errors_t, sums = screen.errors_t, screen.sums
+    factor, absolute = screen.top_factor, screen.top_absolute
+    j1 = cases[:, 0]
+    rows = np.flatnonzero(screen.unique_min[j1])
+    r = cases.shape[1]
+    z = values[rows, 1:] - values[rows, :1]
+    b = screen.best[j1[rows]]
+    events, bound = rows[:0], np.empty(0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        w = np.exp(z)
+        upper = w[:, -1] * sums[b] if r > 1 else np.zeros(rows.size)
+        for t in range(1, r - 1):
+            upper += w[:, t - 1] * errors_t[cases[rows, t], b]
+        alone = screen.runner_up[j1[rows]] > factor * upper + absolute
+        decided, classes = [rows[alone]], [b[alone]]
+        left = np.flatnonzero(~alone & (z[:, -1] < selectors._LOG_LIGHT_TAIL)) if r > 1 else []
+        if len(left):
+            events = rows[left]
+            lower = errors_t[cases[events, 0]]
+            for t in range(1, r - 1):
+                wt = w[left, t - 1]
+                wt[wt < selectors._FLOOR] = 0.0
+                lower += wt[:, None] * errors_t[cases[events, t]]
+            tail = np.exp(np.maximum(z[left, -1], selectors._LOG_FLOOR))
+            a = lower.argmin(axis=1)
+            bound = factor * (lower[np.arange(left.size), a] + tail * sums[a]) + absolute
+            only = np.count_nonzero(lower > bound[:, None], axis=1) == lower.shape[1] - 1
+            decided.append(events[only])
+            classes.append(a[only])
+            events, bound = events[only], bound[only]
+    return np.concatenate(decided), np.concatenate(classes), events, bound
+
+
 class TestTopScreen:
     """The screen that decides events from their heaviest cases alone."""
 
@@ -751,6 +789,79 @@ class TestTopScreen:
         errors = np.array([[0.0, 1e30, 0.0], [1e-280, 0.0, 0.0]])
         scores = np.array([[0.0, -710.0, -800.0], [0.0, -710.0, -800.0]])
         self.assert_decisions_match_float64_round(errors, scores)
+
+    def head_matrices(self):
+        rng = np.random.default_rng(76)
+        # Case 0: a unique best class, 29 close behind, and 120 tied at
+        # the value the 64-class head ends on.
+        boundary = 2.0 + rng.random((200, 12))
+        boundary[:, 0] = 3.0 + rng.random(200)
+        boundary[:30, 0] = np.sort(rng.random(30))
+        boundary[0, 0] = 0.0
+        boundary[30:150, 0] = 1.0
+        return [*self.matrices(), rng.random((64, 10)), rng.random((65, 10)), boundary]
+
+    def test_heads_decide_what_every_class_decides(self, monkeypatch):
+        # Decided events compared as sets, with their classes, against a
+        # class-wide pass over every class, on drawn scores and on
+        # events with a flushed third weight and a floored tail.
+        rng = np.random.default_rng(78)
+        routes = {"head": 0, "fallback": 0}
+        every_class = []
+        class_wide = selectors._class_wide
+
+        def recorded(top, weights, tail, screen, columns=None):
+            out = class_wide(top, weights, tail, screen, columns)
+            if columns is None and screen.errors_t.shape[1] > selectors._HEAD:
+                every_class.append(np.count_nonzero(out[0]))
+            return out
+
+        monkeypatch.setattr(selectors, "_class_wide", recorded)
+        for errors in self.head_matrices():
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            screen = selectors._screen_setup(shifted)
+            m, k = shifted.shape[1], shifted.shape[0]
+            # Every odd class's error sum overflows.
+            with np.errstate(over="ignore"):
+                sums = np.where(np.arange(k) % 2, screen.sums * 1e308, screen.sums)
+            overflowed = replace(screen, sums=sums)
+            draws = [selectors._top_scores(2000, m, p, RandomSource(79))[:2]
+                     for p in (2.0, 20.0, 200.0, 2000.0)]
+            cases = draws[0][0]
+            gaps = np.stack([np.zeros(2000), -3 * rng.random(2000), np.full(2000, -400.0),
+                             np.full(2000, -800.0)], axis=1)
+            draws.append((cases, gaps[:, : cases.shape[1]]))
+            for cases, values in draws:
+                for tried in (screen, overflowed):
+                    rows, classes = selectors._top_decide(cases, values, tried)
+                    expected, expected_classes, wide, bound = dense_top_decide(
+                        cases, values, tried
+                    )
+                    assert rows.size == np.unique(rows).size == expected.size
+                    assert dict(zip(rows.tolist(), classes.tolist())) == dict(
+                        zip(expected.tolist(), expected_classes.tolist())
+                    )
+                    if k > selectors._HEAD and wide.size:
+                        rest = tried.heads(cases[wide, 0])[1]
+                        routes["head"] += np.count_nonzero(bound < rest)
+                        routes["fallback"] += np.count_nonzero(~(bound < rest))
+        assert routes["head"] > 0 and routes["fallback"] > 0
+        assert sum(every_class) == routes["fallback"]
+
+    def test_heads_hold_the_least_errors_of_each_case(self):
+        rng = np.random.default_rng(80)
+        shifted = selectors._shifted_errors(rng.integers(0, 40, (300, 20)).astype(float))
+        screen = selectors._screen_setup(shifted)
+        cases = rng.integers(0, 20, 50)
+        heads, rest = screen.heads(cases)
+        again = screen.heads(cases[::-1])
+        np.testing.assert_array_equal(again[0], heads[::-1])
+        for j, head, least in zip(cases, heads, rest):
+            column = shifted[:, j]
+            assert (np.diff(head) > 0).all() and head.size == selectors._HEAD
+            outside = np.delete(column, head)
+            assert least == outside.min()
+            assert column[head].max() <= least
 
     def test_most_distinct_events_skip_the_rest_of_their_scores(self):
         errors = np.argsort(np.random.default_rng(69).random((1000, 200)), axis=0)
