@@ -3,8 +3,11 @@
 Errors live in an (n, m) float matrix with one row per individual and one
 column per test case; lower is always better.  An optional binary support
 matrix of the same shape marks which cases each individual is defined on.
-Undefined entries hold an error of exactly zero and consumers either skip
-them or renormalize around them.
+Undefined entries hold an error of exactly zero here.  The lexicase
+family's filter reads them as +inf: an undefined error loses to every
+defined one, and a case on which no survivor is defined keeps them all.
+``dalex`` renormalizes around them, dividing each weighted sum by the
+weight of the cases a class is defined on.
 
 Selection never distinguishes two individuals whose (error row, support
 row) pairs are identical, so selectors run on the equivalence classes
@@ -315,18 +318,26 @@ def expand_class_selection(
     return classing.member_order[starts[picks] + offsets]
 
 
-def _moments(E: np.ndarray, w: np.ndarray, total: float):
-    """Per-column weighted mean and population standard deviation."""
+def _moments(E: np.ndarray, w: np.ndarray, total, S: np.ndarray | None = None):
+    """Per-column weighted mean and population standard deviation over
+    the entries ``S`` marks defined (every entry when None), whose
+    weights sum to ``total``."""
     mean = (w @ E) / total
-    return mean, np.sqrt((w @ (E - mean) ** 2) / total)
+    dev = (E - mean) ** 2
+    if S is not None:
+        dev *= S
+    return mean, np.sqrt((w @ dev) / total)
 
 
-def standardize_per_case(errors, multiplicities=None) -> np.ndarray:
+def standardize_per_case(errors, multiplicities=None, support=None) -> np.ndarray:
     """Shift and scale each case column to mean 0 and population std 1.
 
     ``multiplicities`` weights each row (class member counts) so the
-    statistics match those of the ungrouped population.  Columns with no
-    variation become all zeros instead of dividing by zero.
+    statistics match those of the ungrouped population.  With a
+    ``support`` matrix each column is standardized over its defined
+    entries only, and undefined entries stay 0.  Columns with no
+    variation among their defined entries become all zeros instead of
+    dividing by zero.
     """
     E = as_error_matrix(errors)
     n = E.shape[0]
@@ -338,20 +349,34 @@ def standardize_per_case(errors, multiplicities=None) -> np.ndarray:
             raise ShapeError(f"multiplicities shape {w.shape} does not match {n} rows")
         if (w < 1).any() or (w != np.round(w)).any():
             raise ShapeError("multiplicities must be positive integers")
+    S = None if support is None else as_support_matrix(support, E)
 
-    total = w.sum()
+    if S is None:
+        total = w.sum()
+    else:
+        # Undefined errors are 0 and add nothing to the weighted sums.  A
+        # column no row is defined on gets weight 1: mean and std 0.
+        total = np.maximum(w @ S, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = _moments(E, w, total)
+        mean, std = _moments(E, w, total, S)
     wide = ~(np.isfinite(mean) & np.isfinite(std))
     if wide.any():
         # Errors near the float limit overflow the weighted sum or the
         # squares.  Scaling such a column of the fresh copy by a power of
         # two is exact, and the standardized values do not depend on it.
         E[:, wide] *= 2.0**-600
-        mean, std = _moments(E, w, total)
-    constant = (E == E[0]).all(axis=0) | (std == 0.0)
+        mean, std = _moments(E, w, total, S)
+    if S is None:
+        constant = (E == E[0]).all(axis=0)
+    else:
+        defined = S == 1.0
+        low = np.where(defined, E, np.inf).min(axis=0)
+        constant = low >= np.where(defined, E, -np.inf).max(axis=0)
+    constant |= std == 0.0
     out = (E - mean) / np.where(constant, 1.0, std)
     out[:, constant] = 0.0
+    if S is not None:
+        out *= S
     return out
 
 

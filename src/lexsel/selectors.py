@@ -83,7 +83,8 @@ class SelectorConfig:
         spaced grid).
     relaxed : bool
         Standardize each case column to mean 0 / std 1 before weighting,
-        so cases with larger error scales cannot dominate.
+        so cases with larger error scales cannot dominate.  With partial
+        support a column is standardized over the classes defined on it.
     batch_size : int
         Cases per batch for ``batch_lexicase``.
     batch_threshold_mode : str
@@ -1173,9 +1174,11 @@ def dalex_select(
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
+    full_support = classing.full_support
     class_errors = classing.class_errors
     if cfg.relaxed:
-        class_errors = standardize_per_case(class_errors, classing.sizes)
+        support = None if full_support else classing.class_support
+        class_errors = standardize_per_case(class_errors, classing.sizes, support)
     if importance is not None:
         importance = np.asarray(importance, dtype=np.float64)
         if importance.shape != (n_events, classing.m):
@@ -1183,7 +1186,6 @@ def dalex_select(
                 f"importance shape {importance.shape} does not match "
                 f"({n_events}, {classing.m})"
             )
-    full_support = classing.full_support
     screen = None
     if full_support:
         class_errors = _shifted_errors(class_errors)
@@ -1346,7 +1348,7 @@ def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) ->
 
 def _filter_step(
     case_errors: np.ndarray,
-    case_support: np.ndarray | None,
+    undefined: bool,
     sizes: np.ndarray,
     tolerance: float | np.ndarray | str | None,
     cases: np.ndarray,
@@ -1355,14 +1357,16 @@ def _filter_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Filter one batch of cases for a set of events.
 
-    ``case_errors`` and ``case_support`` hold one row per case and one
-    column per class.  Event i holds ``counts[i]`` consecutive
+    ``case_errors`` holds one row per case and one column per class, with
+    +inf at every entry where the class is undefined; ``undefined`` says
+    whether any entry is.  Event i holds ``counts[i]`` consecutive
     (event, class) pairs of ``classes`` and filters on the cases of row i
     of ``cases``.  A class's score on a batch is its mean error over the
-    batch cases it is defined on.  An event none of whose pairs is defined
-    on its batch keeps them all; otherwise it keeps the defined classes
-    whose score is within a tolerance of its least score.  The tolerance
-    is
+    batch cases it is defined on, +inf when it is defined on none.  An
+    event keeps the classes whose score is within a tolerance of its
+    least score.  An undefined score loses to every defined one, and an
+    event with no defined pair has an infinite threshold, so it keeps
+    them all.  The tolerance is
 
     * ``None``: zero, so one-case batches give lexicase;
     * an (m,) array: the tolerance of the batch's case, for one-case
@@ -1374,18 +1378,22 @@ def _filter_step(
     Returns the kept pairs' classes and the number kept per event.
     """
     heads = np.cumsum(counts) - counts
-    # Flat positions of each pair's entries in the case-major matrices;
-    # an event's classes ascend, so it reads each case row in order.
+    # Flat positions of each pair's entries in the case-major matrix; an
+    # event's classes ascend, so it reads each case row in order.
     at = np.repeat(cases * case_errors.shape[1], counts, axis=0) + classes[:, None]
     if cases.shape[1] == 1:
         # The mean over one case is its error.
-        at = at[:, 0]
-        scores = case_errors.take(at)
-        defined = None if case_support is None else case_support.take(at)
+        scores = case_errors.take(at[:, 0])
     else:
-        # Undefined entries are exactly zero, so the sum needs no mask.
         values = case_errors.take(at)
-        n_defined = cases.shape[1] if case_support is None else case_support.take(at).sum(axis=1)
+        n_defined = cases.shape[1]
+        if undefined:
+            defined = values != np.inf
+            n_defined = defined.sum(axis=1)
+            # Zero the undefined entries for the sum.  Multiplying their
+            # bits by 0 is cheaper than a masked assignment.
+            bits = values.view(np.int64)
+            bits *= defined
         divisor = np.broadcast_to(np.maximum(n_defined, 1), len(at))
         with np.errstate(over="ignore", invalid="ignore"):
             scores = values.sum(axis=1) / divisor
@@ -1395,16 +1403,15 @@ def _filter_step(
             # mean fits.  Scaling those rows by a power of two is exact, so
             # every other row keeps its bits (as in standardize_per_case).
             scores[wide] = (values[wide] * 2.0**-600).sum(axis=1) / divisor[wide] * 2.0**600
-        defined = None if case_support is None else n_defined > 0
-    if defined is not None:
-        scores[~defined] = np.inf
-    # An event with no defined pair gets an infinite threshold and skips
-    # the batch.
+        if undefined:
+            scores[n_defined == 0] = np.inf
     threshold = np.minimum.reduceat(scores, heads)
     if isinstance(tolerance, np.ndarray):
         threshold += tolerance[cases[:, 0]]
     elif tolerance == "mad":
-        weights = sizes[classes] if defined is None else sizes[classes] * defined
+        weights = sizes[classes]
+        if undefined:
+            weights = weights * np.isfinite(scores)
         scored = np.isfinite(threshold)
         if scored.any():
             pairs = np.repeat(scored, counts)
@@ -1465,33 +1472,32 @@ def _finish_events(
 
 
 def _case_major_step(
-    errors: np.ndarray,
-    support: np.ndarray | None,
-    sizes: np.ndarray | None = None,
-    tolerance: float | np.ndarray | str | None = None,
+    classing: EquivalenceClassing, tolerance: float | np.ndarray | str | None = None
 ) -> Callable:
-    """:func:`_filter_step` bound to case-major copies of the (k, m)
-    ``errors`` and ``support``, as :func:`_filter_pairs` takes it."""
-    return partial(
-        _filter_step,
-        np.ascontiguousarray(errors.T),
-        None if support is None else np.ascontiguousarray(support.T, dtype=bool),
-        sizes,
-        tolerance,
-    )
+    """:func:`_filter_step` bound to a case-major copy of the classing's
+    errors with +inf at every undefined entry, as :func:`_filter_pairs`
+    takes it."""
+    case_errors = classing.class_errors.T.copy()
+    undefined = not classing.full_support
+    if undefined:
+        # Errors are exactly 0 where support is 0, so dividing by the
+        # support keeps every defined error and puts NaN (0 / 0) at each
+        # undefined entry, which fmin turns into +inf.
+        with np.errstate(invalid="ignore"):
+            np.divide(case_errors, classing.class_support.T, out=case_errors)
+        np.fmin(case_errors, np.inf, out=case_errors)
+    return partial(_filter_step, case_errors, undefined, classing.sizes, tolerance)
 
 
-def _survivors_for_order(
-    errors: np.ndarray, support: np.ndarray | None, order: np.ndarray
-) -> np.ndarray:
+def _survivors_for_order(classing: EquivalenceClassing, order: np.ndarray) -> np.ndarray:
     """Filter classes case by case in the given order, as lexicase does;
     return the survivors.  This is one event of the engine
     :func:`_filter_events` runs.
     """
-    k = errors.shape[0]
+    k = classing.k
     order = np.asarray(order, dtype=np.intp)[None, :]
     lone, events, _, classes = _filter_pairs(
-        _case_major_step(errors, support), 1, order, np.array([k]), np.arange(k, dtype=np.int32)
+        _case_major_step(classing), 1, order, np.array([k]), np.arange(k, dtype=np.int32)
     )
     return classes if events.size else lone
 
@@ -1536,8 +1542,7 @@ def _filter_events(
         raise ShapeError(f"need n_events >= 1, got {n_events}")
     k, m = classing.class_errors.shape
     sizes = classing.sizes
-    support = None if classing.full_support else classing.class_support
-    step = _case_major_step(classing.class_errors, support, sizes, tolerance)
+    step = _case_major_step(classing, tolerance)
     batch_size = min(batch_size, m)
     every = np.arange(k, dtype=np.int32)
     # Computing every case's elite costs about what m events' first steps
@@ -1583,7 +1588,8 @@ def epsilon_for_cases(classing: EquivalenceClassing) -> np.ndarray:
     """Per-case tolerance: median absolute deviation from the median.
 
     Computed over the full population, so class rows are weighted by
-    their member counts.  Even-length medians average the two middle
+    their member counts.  With partial support an undefined entry counts
+    as an error of 0.  Even-length medians average the two middle
     values, without overflow (:func:`_midpoint`).
     """
     errors, sizes = classing.class_errors, classing.sizes

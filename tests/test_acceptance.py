@@ -107,7 +107,7 @@ def test_criterion_02_spaced_weights_reproduce_lexicase_per_draw():
                              importance=scores)
         for j in range(draws_per_instance):
             order = np.argsort(-scores[j])
-            survivors = _survivors_for_order(classing.class_errors, None, order)
+            survivors = _survivors_for_order(classing, order)
             assert survivors.size == 1
             mismatches += int(picks[j] != survivors[0])
             total += 1

@@ -338,6 +338,27 @@ class TestStandardizePerCase:
             huge = standardize_per_case(rows * 2.0**1021, [2, 1, 1, 3])
         np.testing.assert_array_equal(huge, standardize_per_case(rows, [2, 1, 1, 3]))
 
+    def test_support_standardizes_defined_entries_only(self):
+        # Each column equals the standardization of its defined entries
+        # alone, undefined entries stay 0, and column 3, defined on one
+        # row, is constant.
+        rng = np.random.default_rng(17)
+        support = (rng.random((7, 4)) < 0.6).astype(float)
+        support[:, 0] = 1.0
+        support[:, 3] = 0.0
+        support[2, 3] = 1.0
+        errors = rng.integers(0, 9, (7, 4)) * support
+        sizes = rng.integers(1, 4, 7)
+        out = standardize_per_case(errors, sizes, support)
+        for j in range(4):
+            rows = support[:, j] == 1.0
+            alone = standardize_per_case(errors[rows, j : j + 1], sizes[rows])[:, 0]
+            np.testing.assert_allclose(out[rows, j], alone, rtol=1e-12, atol=1e-12)
+            assert (out[~rows, j] == 0.0).all()
+        with np.errstate(over="raise", invalid="raise"):
+            huge = standardize_per_case(errors * 2.0**1020, sizes, support)
+        np.testing.assert_array_equal(huge, out)
+
     def test_bad_multiplicities(self):
         with pytest.raises(ShapeError):
             standardize_per_case([[1.0], [2.0]], [1])

@@ -332,11 +332,17 @@ class TestDalexSelect:
     def test_relaxed_is_affine_invariant_per_draw(self):
         rng = np.random.default_rng(13)
         errors = rng.integers(0, 9, (6, 5)).astype(float)
-        rescaled = errors * 4.0 + 8.0
+        # With partial support the map applies to defined entries only.
+        support = (rng.random(errors.shape) < 0.6).astype(float)
+        support[:, 0] = 1.0
         cfg = self.cfg(relaxed=True)
-        a = dalex_select(build_classes(errors), 300, cfg, RandomSource(7))
-        b = dalex_select(build_classes(rescaled), 300, cfg, RandomSource(7))
-        np.testing.assert_array_equal(a, b)
+        for rows, defined in ((errors, None), (errors * support, support)):
+            rescaled = rows * 4.0 + 8.0
+            if defined is not None:
+                rescaled *= defined
+            a = dalex_select(build_classes(rows, defined), 300, cfg, RandomSource(7))
+            b = dalex_select(build_classes(rescaled, defined), 300, cfg, RandomSource(7))
+            np.testing.assert_array_equal(a, b)
 
     def test_relaxed_changes_scale_sensitivity(self):
         # case 1's huge scale dominates raw means; standardized it cannot
@@ -1379,6 +1385,8 @@ def replay_batch_event(classing, cfg, order, u, epsilons=None):
         best = min(means.values())
         if epsilons is not None:
             (tau,) = [epsilons[t] for t in batch]
+        elif cfg.method == "lexicase":
+            tau = 0.0
         elif cfg.batch_threshold_mode == "absolute":
             tau = cfg.batch_threshold_value
         else:
@@ -1462,6 +1470,13 @@ class TestBatchLexicase:
             support[:, :2] = 0.0
             support[~support.any(axis=1), 2] = 1.0
             return rng.integers(0, 4, (9, 7)) * support, support
+        if errors == "negative":
+            # Negative errors on partial support, and no one is defined on
+            # case 0: an event drawing it first keeps every class.
+            support = (rng.random((9, 7)) < 0.5).astype(float)
+            support[:, 0] = 0.0
+            support[~support.any(axis=1), 1] = 1.0
+            return rng.integers(-4, 2, (9, 7)) * support, support
         return rng.random((9, 7)) * 3.0, None
 
     @staticmethod
@@ -1494,6 +1509,10 @@ class TestBatchLexicase:
             (SelectorConfig(method="batch_lexicase", batch_size=2), "duplicates"),
             (SelectorConfig(method="batch_lexicase", batch_size=2), "sparse"),
             (SelectorConfig(method="batch_lexicase"), "sparse"),
+            (SelectorConfig(method="lexicase"), "negative"),
+            (SelectorConfig(method="epsilon_lexicase"), "negative"),
+            (SelectorConfig(method="batch_lexicase"), "negative"),
+            (SelectorConfig(method="batch_lexicase", batch_size=2), "negative"),
         ],
         ids=[
             "batch_lexicase-continuous",
@@ -1501,6 +1520,10 @@ class TestBatchLexicase:
             "batch_lexicase-duplicates",
             "batch_lexicase-sparse",
             "batch_lexicase-size1-sparse",
+            "lexicase-negative",
+            "epsilon_lexicase-negative",
+            "batch_lexicase-size1-negative",
+            "batch_lexicase-negative",
         ],
     )
     def test_filter_variants_match_scalar_replay(self, cfg, errors):
@@ -1514,6 +1537,26 @@ class TestBatchLexicase:
     def test_epsilon_partial_support_matches_scalar_replay(self):
         cfg = SelectorConfig(method="epsilon_lexicase")
         assert_matches_replay(self.partial_support_classing(), cfg, RandomSource(11))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1)], ids=["k=1", "m=1"])
+    def test_partial_support_pass_leaves_class_errors_unchanged(self, shape):
+        # At these shapes a case-major view of the class errors shares
+        # their memory, so encoding undefined entries in place would
+        # write into the classing.  At m = 1 every row is defined on its
+        # one case, so only k = 1 holds an undefined entry.
+        rng = np.random.default_rng(33)
+        support = np.ones(shape)
+        support[0, :-1] = 0.0
+        errors = -rng.integers(1, 4, shape) * support
+        classing = build_classes(errors, support)
+        before = classing.class_errors.copy()
+        for cfg in (
+            SelectorConfig(method="lexicase"),
+            SelectorConfig(method="epsilon_lexicase"),
+            SelectorConfig(method="batch_lexicase", batch_size=2),
+        ):
+            selectors.select_classes(classing, 20, cfg, RandomSource(12))
+            assert classing.class_errors.tobytes() == before.tobytes()
 
     def test_peak_memory_bounded_with_an_all_tied_case(self, monkeypatch):
         # About ten classes solve each case, but every class ties on case

@@ -1,0 +1,67 @@
+"""Pick hashes of every selector on the benchmark regimes.
+
+    python3 tools/pick_hashes.py
+
+Runs from the root of a source checkout and imports the package from
+``src/``.  Each cell is one method on one regime's 1000x200 matrices
+(``lexsel.bench.make_regime_matrices``) at one seed: a full pass of
+``select_parents`` with 1000 events, hashed.  The script prints one line
+per cell, ``regime seed method hash``, then ``total`` and a hash of every
+cell.  Running it on two checkouts and comparing the output shows which
+cells a change moved; a change that keeps picks bit-identical leaves
+every line as it was.  Not part of the test suite; it takes a few
+seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from lexsel.bench import REGIMES, make_regime_matrices  # noqa: E402
+from lexsel.core import RandomSource  # noqa: E402
+from lexsel.selectors import SelectorConfig, select_parents  # noqa: E402
+
+N, M = 1000, 200
+SEEDS = (0, 1)
+
+
+def configs() -> dict[str, SelectorConfig]:
+    """Every method cell of the grid, by name."""
+    cells = {}
+    for pressure in (2.0, 20.0, 200.0):
+        for relaxed in (False, True):
+            name = f"dalex-p{pressure:g}" + ("-relaxed" if relaxed else "")
+            cells[name] = SelectorConfig(method="dalex", pressure=pressure, relaxed=relaxed)
+    cells["lexicase"] = SelectorConfig(method="lexicase")
+    cells["epsilon_lexicase"] = SelectorConfig(method="epsilon_lexicase")
+    for size in (2, 3):
+        for mode in ("mad", "absolute"):
+            cells[f"batch_lexicase-b{size}-{mode}"] = SelectorConfig(
+                method="batch_lexicase", batch_size=size, batch_threshold_mode=mode
+            )
+    return cells
+
+
+def main() -> None:
+    cells = configs()
+    total = hashlib.sha256()
+    for regime in REGIMES:
+        for seed in SEEDS:
+            errors, support = make_regime_matrices(regime, N, M, RandomSource(seed))
+            for name, cfg in cells.items():
+                picks = select_parents(errors, support, cfg, N, RandomSource(seed).child(1))
+                digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
+                total.update(digest.encode())
+                print(f"{regime} {seed} {name} {digest[:16]}", flush=True)
+    print(f"total {total.hexdigest()[:16]}")
+
+
+if __name__ == "__main__":
+    main()
