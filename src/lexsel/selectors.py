@@ -498,6 +498,22 @@ def _event_blocks(n_events: int, k: int):
     return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
+def _cascade_chunks(n_pending: int, k: int):
+    """Near-equal (start, stop) chunks of the ``n_pending`` events a pass's
+    screens leave to :func:`_cascade`, each of at most
+    ``max(2, _BLOCK_ENTRIES // 2 // k)`` rows: half a block, so the
+    chunk's products stay within a block's working set.
+
+    As in :func:`_event_blocks`, no chunk is a single row unless
+    ``n_pending == 1``; where the cap is two rows, an odd count puts
+    three in one chunk.
+    """
+    rows = max(2, _BLOCK_ENTRIES // 2 // k)
+    n_chunks = max(1, min(-(-n_pending // rows), n_pending // 2))
+    bounds = np.arange(n_chunks + 1) * n_pending // n_chunks
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
 def _pick_marked(marked: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Pick one marked column per row, uniformly among that row's marked
     columns: the one at position ``floor(u * count)`` in column order.
@@ -1072,10 +1088,11 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     worse loses in a later round, once the agreed cases are gone, unless
     it differs from the others only below float resolution.
 
-    The screens of :func:`dalex_select` leave it some of a block's
-    events.  BLAS picks its kernels by shape, so a row of this smaller
-    product can round a few ulps apart from the same row of the whole
-    block's (as the block size itself does).  Both lie within m * eps / 2
+    :func:`dalex_select` hands it the events its screens leave, gathered
+    from several blocks into chunks (:func:`_cascade_chunks`).  BLAS
+    picks its kernels by shape, so a row of a chunk's product can round
+    a few ulps apart from the same row in a product of its own block's
+    rows (as the block size itself does).  Both lie within m * eps / 2
     of the exact fitness, well inside the tie slack, so the marks differ
     only where a class sits within those ulps of the slack's edge.  A
     lone row is weighed beside a copy of itself: numpy computes a
@@ -1162,15 +1179,18 @@ def dalex_select(
     order the weights encode instead of float64 round-off noise.
     Screens decide the events whose final marks they can prove to be
     one class, with the same picks as the cascade.  Each block runs one
-    chain: on injected or sampled scores, a lexicase filter over each
-    event's heaviest cases (:func:`_lex_screen`); on scores drawn in
-    parts, a bound from the heaviest cases alone (:func:`_top_decide`),
-    whose leftover events are then completed.  A float32 product
-    (:func:`_screen_setup`) takes the full rows left, but for those the
-    filter walked from a tied heaviest case, and the cascade takes the
-    rest.  Partial support keeps the single-pass computation, in one
-    set of block buffers: dividing by per-class support mass leaves no
-    exact cancellation to exploit.
+    chain of screens: on injected or sampled scores, a lexicase filter
+    over each event's heaviest cases (:func:`_lex_screen`); on scores
+    drawn in parts, a bound from the heaviest cases alone
+    (:func:`_top_decide`), whose leftover events are then completed.  A
+    float32 product (:func:`_screen_setup`) takes the full rows left, but
+    for those the filter walked from a tied heaviest case.  The events
+    left are only recorded; after the last block they all go through the
+    cascade in chunks of at most half a block (:func:`_cascade_chunks`),
+    so its per-call cost is paid a few times a pass, not once a block,
+    and memory still grows with the block.  Partial support keeps the
+    single-pass computation, in one set of block buffers: dividing by
+    per-class support mass leaves no exact cancellation to exploit.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
@@ -1207,6 +1227,9 @@ def dalex_select(
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
     blocks = list(_event_blocks(n_events, classing.k))
+    # The events the screens leave, block by block, and on scores drawn in
+    # parts their completed rows; full rows are read from ``importance``.
+    pending, pending_scores = [], []
     if not full_support:
         # One set of block buffers serves every block of the pass.
         size = max(hi - lo for lo, hi in blocks)
@@ -1250,9 +1273,19 @@ def dalex_select(
             picks[events[screened]] = best
             left[screened] = False
         if left.any():
-            # A view when the screens left the whole block.
-            marked = _cascade(scores if left.all() else scores[left], class_errors)
-            picks[events[left]] = _pick_marked(marked, u[events[left]])
+            pending.append(events[left])
+            if in_parts:
+                pending_scores.append(scores[left])
+    if pending:
+        # One cascade pass over every block's leftovers: its cost is
+        # mostly per call, a full read of the errors a round.
+        pending = np.concatenate(pending)
+        if in_parts:
+            pending_scores = np.concatenate(pending_scores)
+        for a, b in _cascade_chunks(pending.size, classing.k):
+            events = pending[a:b]
+            scores = pending_scores[a:b] if in_parts else importance[events]
+            picks[events] = _pick_marked(_cascade(scores, class_errors), u[events])
     return picks
 
 

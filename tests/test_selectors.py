@@ -1152,6 +1152,147 @@ class TestLexScreen:
         np.testing.assert_array_equal(dalex_select(classing, 300, cfg, RandomSource(99)), picks)
 
 
+def per_block_dalex_picks(classing, n_events, cfg, rng):
+    """``dalex_select``'s picks on full support with each block's leftover
+    events through a cascade call of their own: the block loop as it was
+    before the pass-wide cascade."""
+    class_errors = classing.class_errors
+    if cfg.relaxed:
+        class_errors = standardize_per_case(class_errors, classing.sizes)
+    class_errors = selectors._shifted_errors(class_errors)
+    screen = selectors._screen_setup(class_errors)
+    top = None
+    if screen is not None and screen.unique_min.any() and cfg.distribution == "normal":
+        top = selectors._decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)
+    in_parts = top is not None
+    if in_parts:
+        cases, values, level = top
+        rest = selectors._RestStream(rng, classing.m)
+    else:
+        importance = sample_importance(n_events, classing.m, cfg, rng)
+    u = rng.generator(TIEBREAK_STREAM).random(n_events)
+    picks = np.empty(n_events, dtype=np.intp)
+    for lo, hi in selectors._event_blocks(n_events, classing.k):
+        if in_parts:
+            rows, classes = selectors._top_decide(cases[lo:hi], values[lo:hi], screen)
+            picks[lo + rows] = classes
+            events = lo + np.delete(np.arange(hi - lo), rows)
+            scores = selectors._complete_scores(
+                cases[events], values[events], level[events], rest.draw(events), cfg.pressure
+            )
+            rows = walked = rows[:0]
+        else:
+            events, scores = np.arange(lo, hi), importance[lo:hi]
+            rows = walked = events[:0]
+            if screen is not None:
+                rows, classes, walked = selectors._lex_screen(scores, screen)
+                picks[lo + rows] = classes
+        left = np.ones(events.size, dtype=bool)
+        left[rows] = False
+        screened = np.setdiff1d(np.flatnonzero(left), walked, assume_unique=True)
+        if screen is not None and screened.size:
+            candidates, best = selectors._screen_candidates(
+                selectors._flushed_softmax(scores[screened]), screen
+            )
+            if np.count_nonzero(candidates) > screened.size:
+                alone = np.count_nonzero(candidates, axis=1) == 1
+                screened, best = screened[alone], best[alone]
+            picks[events[screened]] = best
+            left[screened] = False
+        if left.any():
+            marked = selectors._cascade(scores if left.all() else scores[left], class_errors)
+            picks[events[left]] = selectors._pick_marked(marked, u[events[left]])
+    return picks
+
+
+class TestPassCascade:
+    """The events a pass's screens leave go through the cascade together,
+    in chunks of at most half a block, whichever blocks they came from."""
+
+    # Blocks of 64 rows, so a pass of 600 events runs 9 of them.
+    BLOCK_ROWS = 64
+
+    def recorded_calls(self, patch):
+        calls = []
+        cascade = selectors._cascade
+
+        def recorded(scores, class_errors):
+            calls.append(scores.shape[0])
+            return cascade(scores, class_errors)
+
+        patch.setattr(selectors, "_cascade", recorded)
+        return calls
+
+    def test_picks_equal_per_block_picks(self, monkeypatch):
+        cascaded = 0
+        for name, errors in screen_matrices().items():
+            classing = build_classes(errors)
+            monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", self.BLOCK_ROWS * classing.k)
+            assert len(list(selectors._event_blocks(600, classing.k))) >= 8
+            for pressure in (2.0, 20.0, 200.0, 2000.0):
+                for distribution in ("normal", "uniform", "shuffled_range"):
+                    for relaxed in (False, True):
+                        cfg = SelectorConfig(
+                            "dalex", pressure=pressure, distribution=distribution, relaxed=relaxed
+                        )
+                        with monkeypatch.context() as patch:
+                            calls = self.recorded_calls(patch)
+                            picks = dalex_select(classing, 600, cfg, RandomSource(100))
+                        expected = per_block_dalex_picks(classing, 600, cfg, RandomSource(100))
+                        np.testing.assert_array_equal(picks, expected, err_msg=f"{name} {cfg}")
+                        cascaded += sum(calls)
+        assert cascaded > 0
+
+    def test_one_cascade_call_per_chunk(self, monkeypatch):
+        errors = np.random.default_rng(101).integers(0, 6, (300, 30)).astype(float)
+        classing = build_classes(errors)
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", self.BLOCK_ROWS * classing.k)
+        fewer = False
+        for pressure in (2.0, 20.0, 200.0, 2000.0):
+            for distribution in ("normal", "uniform"):
+                cfg = SelectorConfig("dalex", pressure=pressure, distribution=distribution)
+                with monkeypatch.context() as patch:
+                    calls = self.recorded_calls(patch)
+                    dalex_select(classing, 600, cfg, RandomSource(102))
+                with monkeypatch.context() as patch:
+                    per_block = self.recorded_calls(patch)
+                    per_block_dalex_picks(classing, 600, cfg, RandomSource(102))
+                assert sum(calls) == sum(per_block)
+                if calls:
+                    chunks = selectors._cascade_chunks(sum(calls), classing.k)
+                    assert calls == [b - a for a, b in chunks]
+                fewer |= len(calls) < len(per_block)
+        assert fewer
+
+    def test_pending_one_past_a_chunk_takes_no_lone_row(self, monkeypatch):
+        errors = np.random.default_rng(103).integers(0, 6, (300, 30)).astype(float)
+        classing = build_classes(errors)
+        cfg = SelectorConfig("dalex", pressure=20.0)
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", self.BLOCK_ROWS * classing.k)
+        with monkeypatch.context() as patch:
+            calls = self.recorded_calls(patch)
+            picks = dalex_select(classing, 600, cfg, RandomSource(104))
+        pending = sum(calls)
+        assert pending > 2
+        # Half a block is now one row fewer than the pass leaves.
+        with monkeypatch.context() as patch:
+            patch.setattr(selectors, "_BLOCK_ENTRIES", 2 * (pending - 1) * classing.k)
+            calls = self.recorded_calls(patch)
+            np.testing.assert_array_equal(
+                dalex_select(classing, 600, cfg, RandomSource(104)), picks
+            )
+        assert sum(calls) == pending and len(calls) == 2 and min(calls) >= 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000, 1 << 18, 1 << 19, 1 << 21])
+    def test_chunks_are_near_equal_and_never_one_row(self, k):
+        cap = max(2, selectors._BLOCK_ENTRIES // 2 // k)
+        for n in (*range(1, 12), cap - 1, cap, cap + 1, 2 * cap + 1, 5 * cap + 3):
+            sizes = [b - a for a, b in selectors._cascade_chunks(n, k)]
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+            assert max(sizes) <= (cap if cap > 2 else 3)
+
+
 class TestLexicaseSelect:
     def test_dominator_always_wins(self):
         classing = build_classes([[0, 0, 0], [1, 0, 2], [3, 1, 1]])

@@ -5,12 +5,16 @@
 Runs from the root of a source checkout and imports the package from
 ``src/``.  Each cell is one method on one regime's 1000x200 matrices
 (``lexsel.bench.make_regime_matrices``) at one seed: a full pass of
-``select_parents`` with 1000 events, hashed.  The script prints one line
-per cell, ``regime seed method hash``, then ``total`` and a hash of every
-cell.  Running it on two checkouts and comparing the output shows which
-cells a change moved; a change that keeps picks bit-identical leaves
-every line as it was.  Not part of the test suite; it takes a few
-seconds.
+``select_parents`` with 1000 events, hashed.  Those passes are one event
+block each, so multi-block cells follow: ``dalex`` on the ``discrete`` and
+``continuous_all_distinct`` regimes at 4000x200 with 4000 events, where
+a pass runs several blocks and the events its screens leave are
+gathered across them.  The script prints one line per cell,
+``regime seed method hash`` (the regime suffixed ``-4000`` for the
+multi-block cells), then ``total`` and a hash of every cell.  Running
+it on two checkouts and comparing the output shows which cells a change
+moved; a change that keeps picks bit-identical leaves every line as it
+was.  Not part of the test suite; it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -30,15 +34,24 @@ from lexsel.selectors import SelectorConfig, select_parents  # noqa: E402
 
 N, M = 1000, 200
 SEEDS = (0, 1)
+# The multi-block grid: n individuals and events, and its regimes.
+WIDE_N = 4000
+WIDE_REGIMES = ("discrete", "continuous_all_distinct")
 
 
-def configs() -> dict[str, SelectorConfig]:
-    """Every method cell of the grid, by name."""
+def dalex_configs() -> dict[str, SelectorConfig]:
+    """The ``dalex`` cells, by name."""
     cells = {}
     for pressure in (2.0, 20.0, 200.0):
         for relaxed in (False, True):
             name = f"dalex-p{pressure:g}" + ("-relaxed" if relaxed else "")
             cells[name] = SelectorConfig(method="dalex", pressure=pressure, relaxed=relaxed)
+    return cells
+
+
+def configs() -> dict[str, SelectorConfig]:
+    """Every method cell of the grid, by name."""
+    cells = dalex_configs()
     cells["lexicase"] = SelectorConfig(method="lexicase")
     cells["epsilon_lexicase"] = SelectorConfig(method="epsilon_lexicase")
     for size in (2, 3):
@@ -50,16 +63,17 @@ def configs() -> dict[str, SelectorConfig]:
 
 
 def main() -> None:
-    cells = configs()
     total = hashlib.sha256()
-    for regime in REGIMES:
-        for seed in SEEDS:
-            errors, support = make_regime_matrices(regime, N, M, RandomSource(seed))
-            for name, cfg in cells.items():
-                picks = select_parents(errors, support, cfg, N, RandomSource(seed).child(1))
-                digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
-                total.update(digest.encode())
-                print(f"{regime} {seed} {name} {digest[:16]}", flush=True)
+    grids = [(N, REGIMES, "", configs()), (WIDE_N, WIDE_REGIMES, f"-{WIDE_N}", dalex_configs())]
+    for n, regimes, suffix, cells in grids:
+        for regime in regimes:
+            for seed in SEEDS:
+                errors, support = make_regime_matrices(regime, n, M, RandomSource(seed))
+                for name, cfg in cells.items():
+                    picks = select_parents(errors, support, cfg, n, RandomSource(seed).child(1))
+                    digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
+                    total.update(digest.encode())
+                    print(f"{regime}{suffix} {seed} {name} {digest[:16]}", flush=True)
     print(f"total {total.hexdigest()[:16]}")
 
 
