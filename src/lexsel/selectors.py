@@ -680,11 +680,12 @@ def _swar_popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _row_popcount(sets: np.ndarray) -> np.ndarray:
-    """The set bits of each row of the uint64 words ``sets``."""
+    """The set bits of each row of the uint64 words ``sets`` (a set's
+    words run along the last axis)."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(sets).sum(axis=1)
+        return np.bitwise_count(sets).sum(axis=-1)
     # NumPy 1.x has no bit count ufunc; the SWAR count is several times slower.
-    return _swar_popcount(sets).sum(axis=1)
+    return _swar_popcount(sets).sum(axis=-1)
 
 
 def _least_nonzero(errors: np.ndarray) -> np.ndarray:
@@ -1148,6 +1149,199 @@ def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
     return class_errors - low
 
 
+# The partial-support screen (:func:`_partial_screen`) walks each event's
+# heaviest cases at most this deep and weighs its candidates over them.
+_PARTIAL_DEPTH = 36
+# Its walk stops once no event of a block has more live classes than this
+# (checked every fourth step), and it leaves to the products an event
+# with more candidates than ``_PARTIAL_CAP``.
+_PARTIAL_LIVE = 8
+_PARTIAL_CAP = 64
+# A pass runs the screen only if it has more classes than this (with
+# fewer, its two products cost about what the screen does: 1.02-1.10x
+# the pass time at 1000x200), at least ``_PARTIAL_EVENTS`` events (the
+# screen's set-up costs about the products of 100 events at 4000x200),
+# and if its first events leave at most ``_PARTIAL_TAIL`` of their
+# weight past the heaviest ``_PARTIAL_DEPTH`` cases.
+_PARTIAL_CLASSES = 1024
+_PARTIAL_EVENTS = 256
+_PARTIAL_TAIL = 2.0**-8
+
+
+@dataclass
+class _PartialScreen:
+    """The per-pass inputs of :func:`_partial_screen` (see
+    :func:`_partial_setup`)."""
+
+    errors: np.ndarray  # the class errors, flat and class major
+    support: np.ndarray  # and the class support
+    zeros: np.ndarray  # each case's classes of error 0, defined or not, as bitsets
+    defined: np.ndarray  # each case's defined classes, as bitsets
+    least: np.ndarray  # each case's least nonzero error
+    most: np.ndarray  # each class's largest error
+    fewest: np.ndarray  # each class's least defined error
+    factor: float  # the relative rounding factor
+    absolute: float  # and the underflow term, per unit of denominator
+
+
+def _partial_setup(class_errors: np.ndarray, class_support: np.ndarray) -> _PartialScreen | None:
+    """The inputs of :func:`_partial_screen` for a partial-support pass,
+    or None when some error is negative: its bounds need non-negative
+    terms.
+
+    ``factor`` is (1 + g) / (1 - g) with g = gamma_{4m + 4 depth + 32},
+    and covers the rounding of both sides.  ``weighted_fitness`` sums m
+    non-negative products per numerator and per denominator, each within
+    gamma_m whatever order BLAS takes, and divides once; the screen's
+    sums over at most depth = ``_PARTIAL_DEPTH`` ranks, its suffix sums
+    over m weights and its few further operations per bound add less
+    than gamma_{2m + 4 depth + 16}.  ``absolute`` covers underflow: at
+    most 2^-1075 a product, for the m products of BLAS and the depth of
+    the screen, taken at four times that and divided by a lower bound on
+    the class's denominator where it is used; each bound also moves by
+    2^-1073 for the divisions' own underflow.
+    """
+    if class_errors.min() < 0:
+        return None
+    k, m = class_errors.shape
+    depth = min(_PARTIAL_DEPTH, m)
+    defined = class_support == 1.0
+    g = _gamma(4 * m + 4 * depth + 32, 2.0**-53)
+    return _PartialScreen(
+        errors=class_errors.ravel(),
+        support=class_support.ravel(),
+        zeros=_bitsets(class_errors.T == 0),
+        defined=_bitsets(defined.T),
+        least=_least_nonzero(class_errors),
+        most=class_errors.max(axis=1),
+        fewest=np.min(class_errors, axis=1, where=defined, initial=np.inf),
+        factor=(1 + g) / (1 - g),
+        absolute=(m + depth + 4) * 2.0**-1073,
+    )
+
+
+def _partial_screen(weights: np.ndarray, screen: _PartialScreen):
+    """The events of softmax ``weights`` on partial support whose
+    normalized fitness has one least class, that class, and how many
+    (event, class) pairs were weighed; all without the products.
+
+    Rank an event's cases by weight, j_1 first, and let T_t be the
+    weight of ranks t and later.  Class c's fitness is
+    F_c = (sum_j w_j e_cj) / (sum_j w_j s_cj), with e_cj = 0 where c is
+    undefined.  If c is undefined on every rank before t and defined with
+    a nonzero error on rank s, then F_c >= w_s n_s / T_t, n_s being case
+    j_s's least nonzero error, since its numerator holds w_s e_cs and its
+    denominator at most T_t.
+
+    The walk steps through the ranks on class bitsets and keeps L_s, the
+    classes with error 0 or undefined on each of j_1 ... j_s.  A step
+    cuts the classes of L_{s-1} with a nonzero error on j_s; those
+    defined on j_1 get the bound with T_1, the others with T_2.  The
+    walk ends at ``_PARTIAL_DEPTH`` ranks or once every event has at most
+    ``_PARTIAL_LIVE`` live classes.  Each event then weighs its deepest
+    live classes, those defined on j_1 and the others apart: over its
+    ranked cases up to the depth, exactly, and past them by the rest of
+    the weight T, times the class's largest error in the numerator.  The
+    best upper bound so found, H, brings back every class cut at or after
+    the first step whose bound is not above H, separately for the two
+    kinds; those are weighed too.  So no class outside the candidates
+    can have a computed fitness below H.
+
+    An event is decided for its candidate a of least upper bound when
+    every other candidate's lower bound is above it.  The bounds take
+    the computed fitness, not the exact one: ``factor`` and ``absolute``
+    (:func:`_partial_setup`) cover the rounding of ``weighted_fitness``
+    and of the screen.  Its fitness row then has a alone at its minimum,
+    and the pick is a whatever the tie-break draw.  Events whose
+    candidates outnumber ``_PARTIAL_CAP`` are not weighed.
+    """
+    n, m = weights.shape
+    k = screen.most.size
+    depth = min(_PARTIAL_DEPTH, m)
+    # Positive floats order as their bit patterns, which sort faster.
+    order = np.argsort(-weights.view(np.int64), axis=1)
+    ranked = np.take_along_axis(weights, order, axis=1)
+    # total[:, t]: the weight of ranks t and later, summed from the lightest.
+    total = np.cumsum(ranked[:, ::-1], axis=1)[:, ::-1]
+    cases, top = order[:, :depth], ranked[:, :depth]
+    tail = total[:, depth] if depth < m else np.zeros(n)
+    first = screen.defined[cases[:, 0]]
+    live = np.empty((depth + 1, n, first.shape[1]), dtype=np.uint64)
+    live[0] = _bitsets(np.ones((1, k), dtype=bool))
+    steps = depth
+    for s in range(1, depth + 1):
+        np.bitwise_and(live[s - 1], screen.zeros[cases[:, s - 1]], out=live[s])
+        if s % 4 == 0 and (_row_popcount(live[s]) <= _PARTIAL_LIVE).all():
+            steps = s
+            break
+    live = live[: steps + 1]
+    count = _row_popcount(live).T
+    # Step by step, so no temporary the size of ``live``.
+    count1 = np.stack([_row_popcount(sets & first) for sets in live], axis=1)
+    count2 = count - count1
+    at = np.arange(n)
+    with np.errstate(all="ignore"):
+        # Each step's two bounds, for classes defined on j_1 and the others.
+        w, least = top[:, :steps], screen.least[cases[:, :steps]]
+        slack = screen.absolute / w + 2.0**-1073
+        cut = [count1[:, :-1] > count1[:, 1:], count2[:, :-1] > count2[:, 1:]]
+        bounds = [
+            np.where(cut[i], np.minimum(w * least / total[:, i : i + 1], least), np.inf)
+            / screen.factor
+            - slack
+            for i in range(min(2, m))
+        ]
+        # The deepest step at which each kind still has a live class.
+        deepest = [steps - np.argmax(c[:, ::-1] > 0, axis=1) for c in (count1, count2)]
+        final = (live[deepest[0], at] & first) | (live[deepest[1], at] & ~first)
+        pairs = [_weigh(final, cases, top, tail, screen)]
+        best = np.full(n, np.inf)
+        np.minimum.at(best, pairs[0][0], pairs[0][2])
+        # Bring back the classes cut at or after each kind's first step
+        # whose bound is not above the best upper bound.
+        rest = np.zeros_like(final)
+        for i, bound in enumerate(bounds):
+            fails = bound <= best[:, None]
+            start = np.where(fails.any(axis=1), fails.argmax(axis=1), steps)
+            start = np.minimum(start, deepest[i])
+            mask = first if i == 0 else ~first
+            rest |= live[start, at] & mask
+        rest &= ~final
+        crowded = _row_popcount(rest) + _row_popcount(final) > _PARTIAL_CAP
+        rest[crowded] = 0
+        pairs.append(_weigh(rest, cases, top, tail, screen))
+        events, classes, upper, lower = (np.concatenate(p) for p in zip(*pairs))
+        weighed = events.size
+        keep = ~crowded[events]
+        events, classes, upper, lower = events[keep], classes[keep], upper[keep], lower[keep]
+        best = np.full(n, np.inf)
+        np.minimum.at(best, events, upper)
+        winner = np.full(n, -1)
+        leading = np.flatnonzero(upper == best[events])
+        winner[events[leading]] = leading
+        lower[winner[winner >= 0]] = np.inf
+        others = np.full(n, np.inf)
+        np.minimum.at(others, events, lower)
+    decided = np.flatnonzero((winner >= 0) & (best < others))
+    return decided, classes[winner[decided]], weighed
+
+
+def _weigh(sets, cases, top, tail, screen):
+    """Each (event, class) pair of the bitsets ``sets``, with bounds on
+    its class's computed fitness: weighed exactly over the event's ranked
+    ``cases`` (weights ``top``), and past them by the ``tail`` weight."""
+    events, classes = _set_bits(sets)
+    at = classes[:, None] * (screen.errors.size // screen.most.size) + cases[events]
+    w = top[events]
+    low = (w * screen.errors.take(at)).sum(axis=1)
+    mass = (w * screen.support.take(at)).sum(axis=1)
+    most, fewest, rest = screen.most[classes], screen.fewest[classes], tail[events]
+    upper = np.where(mass > 0, np.minimum((low + rest * most) / mass, most), most)
+    lower = np.maximum(np.minimum(low / (mass + rest), most), fewest)
+    slack = screen.absolute / np.maximum(mass, np.finfo(np.float64).tiny) + 2.0**-1073
+    return events, classes, upper * screen.factor + slack, lower / screen.factor - slack
+
+
 def dalex_select(
     classing: EquivalenceClassing,
     n_events: int,
@@ -1188,9 +1382,13 @@ def dalex_select(
     left are only recorded; after the last block they all go through the
     cascade in chunks of at most half a block (:func:`_cascade_chunks`),
     so its per-call cost is paid a few times a pass, not once a block,
-    and memory still grows with the block.  Partial support keeps the
-    single-pass computation, in one set of block buffers: dividing by
-    per-class support mass leaves no exact cancellation to exploit.
+    and memory still grows with the block.  Partial support takes no
+    cascade (dividing by per-class support mass leaves no exact
+    cancellation to exploit): marks are exact float64 ties.  There a
+    zero-walk screen (:func:`_partial_screen`) decides the events whose
+    computed fitness it proves to have one least class, when a pilot
+    shows it pays, and the others go through the two products in chunks
+    of their own (:func:`_normalized_picks`).
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
@@ -1225,25 +1423,13 @@ def dalex_select(
     elif importance is None:
         importance = sample_importance(n_events, classing.m, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
+    if not full_support:
+        return _normalized_picks(classing, importance, u)
     picks = np.empty(n_events, dtype=np.intp)
-    blocks = list(_event_blocks(n_events, classing.k))
     # The events the screens leave, block by block, and on scores drawn in
     # parts their completed rows; full rows are read from ``importance``.
     pending, pending_scores = [], []
-    if not full_support:
-        # One set of block buffers serves every block of the pass.
-        size = max(hi - lo for lo, hi in blocks)
-        weights = np.empty((size, classing.m))
-        products = np.empty((2, size, classing.k))
-        least = np.empty((size, classing.k), dtype=bool)
-    for lo, hi in blocks:
-        if not full_support:
-            r = hi - lo
-            w = softmax_rows(importance[lo:hi], out=weights[:r])
-            fitness = weighted_fitness(classing, w, out=(products[0, :r], products[1, :r]))
-            marked = np.equal(fitness, fitness.min(axis=1, keepdims=True), out=least[:r])
-            picks[lo:hi] = _pick_marked(marked, u[lo:hi])
-            continue
+    for lo, hi in _event_blocks(n_events, classing.k):
         if in_parts:
             rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
             picks[lo + rows] = classes
@@ -1287,6 +1473,94 @@ def dalex_select(
             scores = pending_scores[a:b] if in_parts else importance[events]
             picks[events] = _pick_marked(_cascade(scores, class_errors), u[events])
     return picks
+
+
+def _normalized_picks(classing: EquivalenceClassing, importance: np.ndarray, u: np.ndarray):
+    """:func:`dalex_select`'s picks on partial support: per event, the
+    classes of least ``weighted_fitness`` under the ``softmax_rows``
+    weights of ``importance`` are marked by exact equality and
+    :func:`_pick_marked` draws one with ``u``.
+
+    When the errors are non-negative and a pilot of the first
+    ``_PILOT`` events shows it pays, :func:`_partial_screen` decides the
+    events it can prove to mark one class alone, block by block.  Those
+    it leaves go through the products after the last block, in
+    near-equal chunks of their own (:func:`_event_blocks`, a lone row
+    weighed beside a copy of itself unless the pass has one event), so
+    the product buffers hold those events only; their weights are taken
+    again from ``importance`` rather than kept from the blocks, which
+    left the heap more fragmented.  Otherwise every block runs the
+    products, in one set of block buffers.
+    """
+    n_events, k = u.size, classing.k
+    picks = np.empty(n_events, dtype=np.intp)
+    screen = _partial_pilot(classing, importance)
+    blocks = list(_event_blocks(n_events, k))
+    weights = np.empty((max(hi - lo for lo, hi in blocks), classing.m))
+    buffers = None if screen is not None else _marking_buffers(weights.shape[0], k)
+    pending = []
+    for lo, hi in blocks:
+        w = softmax_rows(importance[lo:hi], out=weights[: hi - lo])
+        if screen is None:
+            picks[lo:hi] = _pick_marked(_least_marked(classing, w, buffers), u[lo:hi])
+            continue
+        rows, classes, _ = _partial_screen(w, screen)
+        picks[lo + rows] = classes
+        pending.append(lo + np.delete(np.arange(hi - lo), rows))
+    pending = np.concatenate(pending) if pending else np.empty(0, dtype=np.intp)
+    if pending.size:
+        chunks = list(_event_blocks(pending.size, k))
+        buffers = _marking_buffers(max(2, max(b - a for a, b in chunks)), k)
+        for a, b in chunks:
+            # The softmax works row by row, so these are the block's weights.
+            events = pending[a:b]
+            w = softmax_rows(importance[events])
+            if w.shape[0] == 1 and n_events > 1:
+                w = np.repeat(w, 2, axis=0)
+            marked = _least_marked(classing, w, buffers)[: b - a]
+            picks[events] = _pick_marked(marked, u[events])
+    return picks
+
+
+def _partial_pilot(classing: EquivalenceClassing, importance: np.ndarray) -> _PartialScreen | None:
+    """The inputs of :func:`_partial_screen` if it pays on a pass of
+    ``importance`` scores, else None.  On the pass's first ``_PILOT``
+    events the screen must decide at least a quarter, weighing on
+    average at most a quarter of the classes an event.  First, though,
+    the pass needs more than ``_PARTIAL_CLASSES`` classes and at least
+    ``_PARTIAL_EVENTS`` events, and the heaviest ``_PARTIAL_DEPTH`` cases
+    must hold all but ``_PARTIAL_TAIL`` of the median pilot event's
+    weight: past them the weights enter the bounds only through their
+    sum, so a heavy tail leaves every bound loose (at low pressure), and
+    the set-up is not worth building."""
+    if classing.k <= _PARTIAL_CLASSES or importance.shape[0] < _PARTIAL_EVENTS:
+        return None
+    weights = softmax_rows(importance[:_PILOT])
+    n, m = weights.shape
+    depth = min(_PARTIAL_DEPTH, m)
+    if depth < m:
+        light = np.partition(weights, m - depth - 1, axis=1)[:, : m - depth]
+        if np.median(light.sum(axis=1)) > _PARTIAL_TAIL:
+            return None
+    screen = _partial_setup(classing.class_errors, classing.class_support)
+    if screen is None:
+        return None
+    rows, _, weighed = _partial_screen(weights, screen)
+    return screen if 4 * rows.size >= n and 4 * weighed <= n * classing.k else None
+
+
+def _marking_buffers(rows: int, k: int):
+    """Buffers for :func:`_least_marked` of up to ``rows`` events."""
+    return np.empty((2, rows, k)), np.empty((rows, k), dtype=bool)
+
+
+def _least_marked(classing: EquivalenceClassing, weights: np.ndarray, buffers) -> np.ndarray:
+    """The classes of least ``weighted_fitness`` per row of ``weights``,
+    marked by exact equality, in ``buffers`` (:func:`_marking_buffers`)."""
+    products, least = buffers
+    r = weights.shape[0]
+    fitness = weighted_fitness(classing, weights, out=(products[0, :r], products[1, :r]))
+    return np.equal(fitness, fitness.min(axis=1, keepdims=True), out=least[:r])
 
 
 # The lexicase family filters (event, class) pairs in blocks of events

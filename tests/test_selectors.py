@@ -30,6 +30,7 @@ from lexsel import (
     weighted_fitness,
 )
 from lexsel import selectors
+from lexsel.bench import make_regime_matrices
 from lexsel import oracle
 from lexsel.core import EVENT_STREAM, FINISH_STREAM, TIEBREAK_STREAM, standardize_per_case
 from lexsel.exceptions import ConfigError, ShapeError
@@ -1291,6 +1292,288 @@ class TestPassCascade:
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
             assert min(sizes) >= 2 or n == 1
             assert max(sizes) <= (cap if cap > 2 else 3)
+
+
+def per_block_partial_picks(classing, n_events, cfg, rng, importance=None):
+    """``dalex_select``'s picks on partial support as the block loop took
+    them before the partial-support screen: per block the softmax, both
+    products, exact-equality marks and the tie-break draw."""
+    if cfg.relaxed:
+        classing = replace(
+            classing,
+            class_errors=standardize_per_case(
+                classing.class_errors, classing.sizes, classing.class_support
+            ),
+        )
+    if importance is None:
+        importance = sample_importance(n_events, classing.m, cfg, rng)
+    u = rng.generator(TIEBREAK_STREAM).random(n_events)
+    picks = np.empty(n_events, dtype=np.intp)
+    for lo, hi in selectors._event_blocks(n_events, classing.k):
+        fitness = weighted_fitness(classing, softmax_rows(importance[lo:hi]))
+        marked = fitness == fitness.min(axis=1, keepdims=True)
+        picks[lo:hi] = selectors._pick_marked(marked, u[lo:hi])
+    return picks
+
+
+def partial_matrices():
+    """Partial-support (errors, support) pairs for the screen: errors 0-5
+    on 35% support (zero-rich), errors 1-5 (zero-free), and rows defined
+    on a single case, with k above and below 64."""
+    rng = np.random.default_rng(46)
+
+    def make(n, m, low=0, share=0.35, one=False):
+        if one:
+            support = np.zeros((n, m))
+            support[np.arange(n), rng.integers(0, m, n)] = 1.0
+        else:
+            support = (rng.random((n, m)) < share).astype(float)
+            support[np.flatnonzero(~support.any(axis=1)), 0] = 1.0
+        return rng.integers(low, 6, (n, m)).astype(float) * support, support
+
+    return {
+        "zero-rich": make(300, 40),
+        "zero-free": make(300, 40, low=1),
+        "small": make(40, 12),
+        "one-defined": make(120, 30, one=True),
+        "half-support": make(200, 30, share=0.5),
+    }
+
+
+class TestPartialScreen:
+    """On partial support, ``_partial_screen`` decides the events whose
+    computed fitness has one least class, and the rest go through the
+    products in chunks of their own; picks stay those of the block loop."""
+
+    BLOCK_ROWS = 64
+
+    @pytest.fixture(autouse=True)
+    def any_class_count(self, monkeypatch):
+        # The test matrices have fewer classes than a pass needs to run
+        # the screen.
+        monkeypatch.setattr(selectors, "_PARTIAL_CLASSES", 0)
+
+    def recorded_screen(self, patch):
+        decided = []
+        screen = selectors._partial_screen
+
+        def recorded(weights, setup):
+            rows, classes, weighed = screen(weights, setup)
+            decided.append((weights.shape[0], rows.size))
+            return rows, classes, weighed
+
+        patch.setattr(selectors, "_partial_screen", recorded)
+        return decided
+
+    def test_picks_equal_block_loop(self, monkeypatch):
+        screened = 0
+        for name, (errors, support) in partial_matrices().items():
+            classing = build_classes(errors, support)
+            assert not classing.full_support
+            monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", self.BLOCK_ROWS * classing.k)
+            for pressure in (2.0, 20.0, 200.0):
+                for seed in (0, 1, 2):
+                    cfg = SelectorConfig("dalex", pressure=pressure)
+                    with monkeypatch.context() as patch:
+                        decided = self.recorded_screen(patch)
+                        picks = dalex_select(classing, 500, cfg, RandomSource(seed))
+                    expected = per_block_partial_picks(classing, 500, cfg, RandomSource(seed))
+                    np.testing.assert_array_equal(picks, expected, err_msg=f"{name} {cfg}")
+                    screened += sum(d for _, d in decided)
+        assert screened > 0
+
+    def test_injected_importance_keeps_the_picks(self):
+        errors, support = partial_matrices()["zero-rich"]
+        classing = build_classes(errors, support)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        for seed in (3, 4):
+            scores = np.random.default_rng(seed).normal(0.0, 200.0, (400, classing.m))
+            scores[:, 5] += 4000.0  # one case heaviest in every event
+            picks = dalex_select(classing, 400, cfg, RandomSource(seed), importance=scores)
+            expected = per_block_partial_picks(classing, 400, cfg, RandomSource(seed), scores)
+            np.testing.assert_array_equal(picks, expected)
+
+    @pytest.mark.parametrize("k_above_64", [False, True])
+    def test_duplicate_classes_tie(self, k_above_64):
+        # Ungrouped rows: duplicate classes have equal fitness, so the
+        # screen may not decide for one of them alone.
+        errors, support = partial_matrices()["zero-rich" if k_above_64 else "small"]
+        errors = np.vstack([errors, errors[:10]])
+        support = np.vstack([support, support[:10]])
+        classing = singleton_classes(errors, support)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        picks = dalex_select(classing, 600, cfg, RandomSource(5))
+        np.testing.assert_array_equal(
+            picks, per_block_partial_picks(classing, 600, cfg, RandomSource(5))
+        )
+        n = errors.shape[0]
+        twins = np.isin(picks, np.r_[0:10, n - 10 : n])
+        assert twins.any()
+
+    def test_lone_leftover_is_weighed_beside_a_copy(self, monkeypatch):
+        # numpy weighs a single row as a matrix-vector product, which can
+        # round apart from the same row inside a block's product.
+        errors, support = partial_matrices()["zero-rich"]
+        classing = build_classes(errors, support)
+        marked, weighed = selectors._least_marked, []
+
+        def all_but_the_first(weights, setup):
+            n = weights.shape[0]
+            return np.arange(1, n), np.zeros(n - 1, dtype=np.intp), 0
+
+        def recorded(classing, weights, buffers):
+            weighed.append(weights.shape[0])
+            return marked(classing, weights, buffers)
+
+        monkeypatch.setattr(selectors, "_partial_screen", all_but_the_first)
+        monkeypatch.setattr(selectors, "_least_marked", recorded)
+        dalex_select(classing, 500, SelectorConfig("dalex", pressure=200.0), RandomSource(19))
+        assert weighed == [2]
+
+    def test_single_case(self):
+        # m = 1 forces full support, so the screen is run on its own.
+        errors = np.random.default_rng(6).integers(0, 4, (30, 1)).astype(float)
+        classing = build_classes(errors)
+        setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+        weights = np.ones((50, 1))
+        rows, classes, _ = selectors._partial_screen(weights, setup)
+        fitness = weighted_fitness(classing, weights)
+        lone = (fitness == fitness.min(axis=1, keepdims=True)).sum(axis=1) == 1
+        np.testing.assert_array_equal(rows, np.flatnonzero(lone))
+        assert (fitness[rows, classes] == fitness[rows].min(axis=1)).all()
+
+    def test_decided_classes_are_the_lone_minimum(self):
+        wide = make_regime_matrices("partial_support", 300, 200, RandomSource(16))
+        errors, support = partial_matrices()["zero-rich"]
+        # Products that underflow, and sums near the float64 maximum.
+        scaled = [(errors * scale, support) for scale in (1e-300, 2.9e307)]
+        for errors, support in [*partial_matrices().values(), wide, *scaled]:
+            classing = build_classes(errors, support)
+            setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+            for pressure in (5.0, 20.0, 200.0, 2000.0):
+                scores = np.random.default_rng(7).normal(0.0, pressure, (300, classing.m))
+                weights = softmax_rows(scores)
+                rows, classes, _ = selectors._partial_screen(weights, setup)
+                fitness = weighted_fitness(classing, weights)
+                marked = fitness == fitness.min(axis=1, keepdims=True)
+                assert (marked[rows].sum(axis=1) == 1).all()
+                assert marked[rows, classes].all()
+
+    def test_weight_past_the_depth_counts(self):
+        # Case j is the event's (j + 1)-th heaviest.  Class 0 has error 1
+        # on the heaviest case only; class 1 has error 2 there but also
+        # error 0 on the 24 light cases past the screen's depth, whose
+        # weight pulls its mean below 1.  Class 2 has error 3 on case 1.
+        m = 60
+        errors, support = np.zeros((3, m)), np.zeros((3, m))
+        errors[0, 0], errors[1, 0], errors[2, 1] = 1.0, 2.0, 3.0
+        support[:2, 0] = support[1, 36:] = support[2, 1] = 1.0
+        classing = build_classes(errors, support)
+        scores = np.r_[0.0, np.linspace(-0.5, -1.0, 35), np.full(24, -1.1)][None, :]
+        weights = softmax_rows(np.repeat(scores, 2, axis=0))
+        assert weighted_fitness(classing, weights)[0].argmin() == 1
+        setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+        rows, classes, _ = selectors._partial_screen(weights, setup)
+        assert (classes == 1).all()
+
+    def test_rounding_ties_are_left_to_the_products(self):
+        # Classes 0 and 1 differ by an ulp or two of their errors, so
+        # their computed fitnesses may tie or swap; the bounds' rounding
+        # factor must keep the screen from deciding such events wrongly.
+        rng = np.random.default_rng(17)
+        support = np.ones((3, 3))
+        support[2, :2] = 0.0
+        for _ in range(300):
+            errors = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 5.0]])
+            errors[1, rng.integers(0, 3)] += rng.integers(1, 3) * np.spacing(3.0)
+            errors[0] += rng.integers(0, 2, 3) * np.spacing(1.0)
+            classing = build_classes(errors, support)
+            setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+            weights = softmax_rows(rng.normal(0.0, 0.3, (2, 3)))
+            rows, classes, _ = selectors._partial_screen(weights, setup)
+            fitness = weighted_fitness(classing, weights)
+            marked = fitness == fitness.min(axis=1, keepdims=True)
+            assert (marked[rows].sum(axis=1) == 1).all() and marked[rows, classes].all()
+
+    @pytest.mark.parametrize("variant", ["relaxed", "negative"])
+    def test_screen_off_keeps_the_picks(self, monkeypatch, variant):
+        errors, support = partial_matrices()["zero-rich"]
+        relaxed = variant == "relaxed"
+        if not relaxed:
+            errors = errors - 2.0 * support
+        classing = build_classes(errors, support)
+        cfg = SelectorConfig("dalex", pressure=200.0, relaxed=relaxed)
+        with monkeypatch.context() as patch:
+            decided = self.recorded_screen(patch)
+            picks = dalex_select(classing, 500, cfg, RandomSource(8))
+        assert decided == []
+        np.testing.assert_array_equal(
+            picks, per_block_partial_picks(classing, 500, cfg, RandomSource(8))
+        )
+
+    @pytest.mark.parametrize("m", [40, 200])
+    def test_low_pressure_turns_the_screen_off(self, monkeypatch, m):
+        # With 200 cases the tail check turns it off before the pilot;
+        # with 40 the pilot runs and decides too few.
+        errors, support = make_regime_matrices("partial_support", 300, m, RandomSource(9))
+        classing = build_classes(errors, support)
+        cfg = SelectorConfig("dalex", pressure=2.0)
+        with monkeypatch.context() as patch:
+            decided = self.recorded_screen(patch)
+            picks = dalex_select(classing, 500, cfg, RandomSource(9))
+        assert [n for n, _ in decided] == ([] if m == 200 else [selectors._PILOT])
+        np.testing.assert_array_equal(
+            picks, per_block_partial_picks(classing, 500, cfg, RandomSource(9))
+        )
+
+    @pytest.mark.parametrize("short", ["classes", "events"])
+    def test_small_passes_turn_the_screen_off(self, monkeypatch, short):
+        errors, support = partial_matrices()["zero-rich"]
+        classing = build_classes(errors, support)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        if short == "classes":
+            monkeypatch.setattr(selectors, "_PARTIAL_CLASSES", classing.k)
+        n_events = 500 if short == "classes" else selectors._PARTIAL_EVENTS - 1
+        with monkeypatch.context() as patch:
+            decided = self.recorded_screen(patch)
+            picks = dalex_select(classing, n_events, cfg, RandomSource(18))
+        assert decided == []
+        np.testing.assert_array_equal(
+            picks, per_block_partial_picks(classing, n_events, cfg, RandomSource(18))
+        )
+
+    def test_large_errors_raise_nothing(self, monkeypatch):
+        errors, support = partial_matrices()["zero-rich"]
+        classing = build_classes(errors * 2.9e307, support)
+        cfg = SelectorConfig("dalex", pressure=20.0)
+        expected = per_block_partial_picks(classing, 500, cfg, RandomSource(10))
+        with monkeypatch.context() as patch, np.errstate(all="raise"):
+            decided = self.recorded_screen(patch)
+            picks = dalex_select(classing, 500, cfg, RandomSource(10))
+        np.testing.assert_array_equal(picks, expected)
+        assert sum(d for _, d in decided) > 0
+
+    def test_picks_attain_their_row_minimum(self):
+        errors, support = make_regime_matrices("partial_support", 1000, 200, RandomSource(11))
+        classing = build_classes(errors, support)
+        scores = np.random.default_rng(12).normal(0.0, 200.0, (1000, classing.m))
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        picks = dalex_select(classing, 1000, cfg, RandomSource(13), importance=scores)
+        # An independent computation: sums over each row's defined cases.
+        weights = softmax_rows(scores)
+        fitness = (weights @ classing.class_errors.T) / (weights @ classing.class_support.T)
+        best = fitness.min(axis=1)
+        got = fitness[np.arange(1000), picks]
+        assert (got <= best + 1e-9 * np.abs(best)).all()
+
+    def test_decides_most_events_at_high_pressure(self):
+        errors, support = make_regime_matrices("partial_support", 1000, 200, RandomSource(14))
+        classing = build_classes(errors, support)
+        setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        scores = sample_importance(1000, classing.m, cfg, RandomSource(15))
+        rows, _, _ = selectors._partial_screen(softmax_rows(scores), setup)
+        assert rows.size >= 900
 
 
 class TestLexicaseSelect:

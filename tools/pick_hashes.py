@@ -6,15 +6,17 @@ Runs from the root of a source checkout and imports the package from
 ``src/``.  Each cell is one method on one regime's 1000x200 matrices
 (``lexsel.bench.make_regime_matrices``) at one seed: a full pass of
 ``select_parents`` with 1000 events, hashed.  Those passes are one event
-block each, so multi-block cells follow: ``dalex`` on the ``discrete`` and
-``continuous_all_distinct`` regimes at 4000x200 with 4000 events, where
-a pass runs several blocks and the events its screens leave are
-gathered across them.  The script prints one line per cell,
-``regime seed method hash`` (the regime suffixed ``-4000`` for the
-multi-block cells), then ``total`` and a hash of every cell.  Running
-it on two checkouts and comparing the output shows which cells a change
-moved; a change that keeps picks bit-identical leaves every line as it
-was.  Not part of the test suite; it takes a few seconds.
+block each, so multi-block cells follow: ``dalex`` on every regime at
+4000x200 with 4000 events, where a pass runs several blocks.  On full
+support the events its screens leave are gathered across the blocks
+for the cascade; on ``partial_support`` those the partial-support
+screen leaves are gathered for ``weighted_fitness``.  The script prints
+one line per cell, ``regime seed method hash`` (the regime suffixed
+``-4000`` for the multi-block cells), then ``total`` and a hash of every
+cell.  Running it on two checkouts and comparing the output shows which
+cells a change moved; a change that keeps picks bit-identical leaves
+every line as it was.  Not part of the test suite; it takes about 15
+seconds.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ N, M = 1000, 200
 SEEDS = (0, 1)
 # The multi-block grid: n individuals and events, and its regimes.
 WIDE_N = 4000
-WIDE_REGIMES = ("discrete", "continuous_all_distinct")
+WIDE_REGIMES = REGIMES
 
 
 def dalex_configs() -> dict[str, SelectorConfig]:
