@@ -1579,8 +1579,8 @@ def _segment_argsort(values: np.ndarray, counts: np.ndarray, kind: str | None = 
     consecutive entries, the segments kept in place; ``kind`` picks
     numpy's sort algorithm within segments."""
     if counts.min() == counts.max():
-        # Equal segments, as in a first step over every class, sort as the
-        # rows of a matrix, faster than the two sorts below.
+        # Equal segments, as in the per-case elites over every class, sort
+        # as the rows of a matrix, faster than the two sorts below.
         width = counts[0]
         order = np.argsort(values.reshape(-1, width), axis=1, kind=kind)
         order += np.arange(0, values.size, width)[:, None]
@@ -1623,20 +1623,10 @@ def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) ->
     deviation of the multiset holding each score ``weights`` times: the
     value ``np.median`` gives on the ``np.repeat``-expanded segment, with
     an even count's midpoint safe from overflow (:func:`_midpoint`)."""
-    width = counts[0]
-    if (counts == width).all() and (weights == 1).all():
-        # Unit weights in equal segments, as in a population without
-        # duplicates: the middle ranks of sorted rows, with no argsort.
-        # The same bits as the weighted path below, about 3x faster on
-        # 4000 classes (two np.sort calls against two argsorts, gathers
-        # and running totals).
-        rows = np.sort(scores.reshape(-1, width), axis=1)
-        med = _midpoint(rows[:, (width - 1) // 2], rows[:, width // 2], width)
-        with np.errstate(over="ignore"):
-            rows -= med[:, None]
-        np.abs(rows, out=rows)
-        rows.sort(axis=1)
-        return _midpoint(rows[:, (width - 1) // 2], rows[:, width // 2], width)
+    if (counts == counts[0]).all() and (weights == 1).all():
+        # Unit weights in equal segments, as in the per-case elites of a
+        # population without duplicates: sorted rows, with no argsort.
+        return _row_mad(scores.reshape(-1, counts[0]))
     order = _segment_argsort(scores, counts)
     scores, weights = scores[order], weights[order]
     med = _weighted_median(scores, weights, counts)
@@ -1651,6 +1641,133 @@ def _segment_mad(scores: np.ndarray, weights: np.ndarray, counts: np.ndarray) ->
     # tenfold on rows dominated by their least value (deviation 0).
     order = _segment_argsort(scores, counts, kind="stable")
     return _weighted_median(scores[order], weights[order], counts)
+
+
+def _row_median(rows: np.ndarray, total, cum: np.ndarray | None = None) -> np.ndarray:
+    """``np.median`` over the first ``total`` members of each sorted row,
+    entry j holding one member, or ``cum[:, j] - cum[:, j - 1]`` with
+    running member totals ``cum``."""
+    low, high = (total - 1) // 2, total // 2
+    if cum is not None:
+        # A row's member of rank r sits at its first running total above r.
+        low = np.count_nonzero(cum <= np.reshape(low, (-1, 1)), axis=1)
+        high = np.count_nonzero(cum <= np.reshape(high, (-1, 1)), axis=1)
+    at = np.arange(rows.shape[0])
+    return _midpoint(rows[at, low], rows[at, high], total)
+
+
+def _row_mad(rows: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the median absolute deviation of its finite entries, the
+    value :func:`_segment_mad` gives; +inf entries stand for undefined
+    ones and weigh nothing.  With ``members``, entry j counts
+    ``members[j]`` times.  Each row needs a finite entry."""
+    finite = rows.shape[1] if members is None else members.sum()
+    weighted = members is not None and finite > 8 * members.size
+    if rows.max() == np.inf:
+        defined = np.isfinite(rows)
+        finite = np.count_nonzero(defined, axis=1) if members is None else defined @ members
+    if weighted:
+        # Few classes of many members, as in a converged population:
+        # sorting member-expanded rows would cost more than two argsorts
+        # of the class rows and their running member totals (0.2-0.6x the
+        # time at 20 members a class, 1.5-2.7x at 3, crossing near 5).
+        order = np.argsort(rows, axis=1)
+        rows, members = np.take_along_axis(rows, order, axis=1), members[order]
+        med = _row_median(rows, finite, np.cumsum(members, axis=1))
+        with np.errstate(over="ignore"):
+            rows -= med[:, None]
+        np.abs(rows, out=rows)
+        # Over sorted scores the deviations fall, then rise: runs a stable
+        # sort merges in linear time.
+        order = np.argsort(rows, axis=1, kind="stable")
+        cum = np.cumsum(np.take_along_axis(members, order, axis=1), axis=1)
+        return _row_median(np.take_along_axis(rows, order, axis=1), finite, cum)
+    rows = rows.copy() if members is None else np.repeat(rows, members, axis=1)
+    # Sorting puts the +inf entries last, after the finite ones; np.sort
+    # beats the weighted median's argsorts about 3x.
+    rows.sort(axis=1)
+    med = _row_median(rows, finite)
+    # A deviation that overflows belongs to less than half the weight, on
+    # one side of the median, so it never reaches the median deviation.
+    with np.errstate(over="ignore"):
+        rows -= med[:, None]
+    np.abs(rows, out=rows)
+    rows.sort(axis=1)
+    return _row_median(rows, finite)
+
+
+def _batch_sums(values: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """``values[:, lo : lo + n]`` summed over axis 1 in numpy's pairwise
+    order for a contiguous run of n values (eight running sums past
+    seven values, halves past 128), so each sum has the bits of
+    ``.sum()`` over the run; gathering the runs to rows would cost more."""
+    if n < 8:
+        total = values[:, lo].copy()
+        for i in range(lo + 1, lo + n):
+            total += values[:, i]
+        return total
+    if n <= 128:
+        r = values[:, lo : lo + 8].copy()
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            r += values[:, i : i + 8]
+        total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+        for i in range(stop, lo + n):
+            total += values[:, i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _batch_sums(values, lo, half) + _batch_sums(values, lo + half, n - half)
+
+
+def _first_step(
+    case_errors: np.ndarray,
+    undefined: bool,
+    members: np.ndarray | None,
+    tolerance: float | np.ndarray | str | None,
+    cases: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_filter_step` for events that hold every class, with the
+    same kept pairs bit for bit, as dense (event, class) rows.
+
+    Event i filters on the cases of row i of ``cases``.  ``members`` is
+    the classes' member counts when some class has several members, else
+    None.  Returns the kept pairs' classes and the number kept per event.
+    """
+    k = case_errors.shape[1]
+    # Each event's batch rows, (events, batch, k).
+    values = case_errors[cases]
+    if cases.shape[1] == 1:
+        scores = values[:, 0]
+    else:
+        n_defined = cases.shape[1]
+        if undefined:
+            defined = values != np.inf
+            n_defined = defined.sum(axis=1)
+            bits = values.view(np.int64)
+            bits *= defined
+        divisor = np.maximum(n_defined, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _batch_sums(values, 0, cases.shape[1]) / divisor
+        wide = ~np.isfinite(scores)
+        if wide.any():
+            # As in _filter_step, overflowing sums are taken again scaled
+            # by a power of two; values[e, :, c] rows sum contiguously.
+            e, c = np.nonzero(wide)
+            scaled = values[e, :, c] * 2.0**-600
+            scores[e, c] = scaled.sum(axis=1) / np.broadcast_to(divisor, wide.shape)[e, c] * 2.0**600
+        if undefined:
+            scores[n_defined == 0] = np.inf
+    threshold = scores.min(axis=1)
+    if isinstance(tolerance, np.ndarray):
+        threshold += tolerance[cases[:, 0]]
+    elif tolerance == "mad":
+        scored = np.isfinite(threshold)
+        if scored.any():
+            threshold[scored] += _row_mad(scores[scored], members)
+    elif tolerance is not None:
+        threshold += tolerance
+    keep = scores <= threshold[:, None]
+    return (np.flatnonzero(keep) % k).astype(np.int32), np.count_nonzero(keep, axis=1)
 
 
 def _filter_step(
@@ -1734,7 +1851,7 @@ def _filter_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Filter a block of events, each holding ``counts[i]`` consecutive
     (event, class) pairs of ``classes``, through ``step``, a
-    :func:`_case_major_step`.
+    :func:`_filter_step` from :func:`_case_major_steps`.
 
     Row i of ``orders`` is event i's case order, walked in consecutive
     batches of ``batch_size`` cases.  An event retires once one class
@@ -1778,12 +1895,13 @@ def _finish_events(
     return classes[heads + np.minimum(slot, counts - 1)]
 
 
-def _case_major_step(
+def _case_major_steps(
     classing: EquivalenceClassing, tolerance: float | np.ndarray | str | None = None
-) -> Callable:
-    """:func:`_filter_step` bound to a case-major copy of the classing's
-    errors with +inf at every undefined entry, as :func:`_filter_pairs`
-    takes it."""
+) -> tuple[Callable, Callable]:
+    """:func:`_first_step` and :func:`_filter_step` bound to one case-major
+    copy of the classing's errors with +inf at every undefined entry: an
+    event's first step, over every class, and the steps after it, as
+    :func:`_filter_pairs` takes them."""
     case_errors = classing.class_errors.T.copy()
     undefined = not classing.full_support
     if undefined:
@@ -1793,7 +1911,11 @@ def _case_major_step(
         with np.errstate(invalid="ignore"):
             np.divide(case_errors, classing.class_support.T, out=case_errors)
         np.fmin(case_errors, np.inf, out=case_errors)
-    return partial(_filter_step, case_errors, undefined, classing.sizes, tolerance)
+    members = classing.sizes if classing.k < classing.n else None
+    return (
+        partial(_first_step, case_errors, undefined, members, tolerance),
+        partial(_filter_step, case_errors, undefined, classing.sizes, tolerance),
+    )
 
 
 def _survivors_for_order(classing: EquivalenceClassing, order: np.ndarray) -> np.ndarray:
@@ -1801,11 +1923,10 @@ def _survivors_for_order(classing: EquivalenceClassing, order: np.ndarray) -> np
     return the survivors.  This is one event of the engine
     :func:`_filter_events` runs.
     """
-    k = classing.k
+    first, step = _case_major_steps(classing)
     order = np.asarray(order, dtype=np.intp)[None, :]
-    lone, events, _, classes = _filter_pairs(
-        _case_major_step(classing), 1, order, np.array([k]), np.arange(k, dtype=np.int32)
-    )
+    classes, counts = first(order[:, :1])
+    lone, events, _, classes = _filter_pairs(step, 1, order[:, 1:], counts, classes)
     return classes if events.size else lone
 
 
@@ -1839,25 +1960,33 @@ def _filter_events(
     its rows and its uniforms one ``random`` call, which give the same
     values as those per-event draws, so an event's draws depend neither
     on ``n_events`` nor on the block size.  Events run in blocks of
-    about :data:`_PAIR_BUDGET` pairs through :func:`_filter_pairs`.  With
-    one-case batches an event's first step keeps the elite of its first
-    case, whatever the event; when events are at least as many as cases,
-    each case's elite is computed once, as a pseudo-event holding every
-    class, and looked up.
+    about :data:`_PAIR_BUDGET` pairs.  An event's first step holds every
+    class, so a block takes it densely (:func:`_first_step`) and the
+    steps after it as pairs through :func:`_filter_pairs`.  With one-case
+    batches the first step keeps the elite of the event's first case,
+    whatever the event; when events are at least as many as cases, each
+    case's elite is computed once, as a pseudo-event holding every class,
+    and looked up.
     """
     if n_events < 1:
         raise ShapeError(f"need n_events >= 1, got {n_events}")
     k, m = classing.class_errors.shape
     sizes = classing.sizes
-    step = _case_major_step(classing, tolerance)
+    first, step = _case_major_steps(classing, tolerance)
     batch_size = min(batch_size, m)
-    every = np.arange(k, dtype=np.int32)
-    # Computing every case's elite costs about what m events' first steps
-    # would, with a zero or a MAD tolerance alike, so fewer events take
-    # their first step on all pairs instead.
+    # A first step gathers k entries per batch case and an event, and a
+    # MAD sorts n member-expanded scores.
+    width = max(k * batch_size, classing.n)
+    # The elites are pseudo-events holding every class, filtered as pairs:
+    # 3.5 ms for the 200 cases of a 1000x200 classing, where 1000 events'
+    # own first steps take 2.9 ms and _first_step would take the elites in
+    # 0.7 ms.  Moving them to _first_step makes a 1000-event lexicase pass
+    # there about as fast as a dalex pass, the comparison acceptance
+    # criterion 08 makes, so it waits for a cheaper dalex pass set-up.
     lookup = batch_size == 1 and n_events >= m
     if lookup:
         elite, elite_counts = [], []
+        every = np.arange(k, dtype=np.int32)
         chunk = max(1, _PAIR_BUDGET // k)
         for lo in range(0, m, chunk):
             cases = np.arange(lo, min(lo + chunk, m))
@@ -1866,12 +1995,9 @@ def _filter_events(
             elite_counts.append(n_kept)
         elite, elite_counts = np.concatenate(elite), np.concatenate(elite_counts)
         elite_heads = np.cumsum(elite_counts) - elite_counts
-        per_event = -(-elite.size // m)
-    else:
-        per_event = k * batch_size
-    # A block's first step gathers about per_event entries per event, and
-    # its case orders take m.
-    block = max(1, _PAIR_BUDGET // max(per_event, m))
+        width = -(-elite.size // m)
+    # A block's case orders take m entries per event.
+    block = max(1, _PAIR_BUDGET // max(width, m))
     order_gen, finish_gen = rng.generator(EVENT_STREAM), rng.generator(FINISH_STREAM)
     picks = np.empty(n_events, dtype=np.int64)
     for lo in range(0, n_events, block):
@@ -1881,10 +2007,9 @@ def _filter_events(
         if lookup:
             counts = elite_counts[orders[:, 0]]
             classes = elite[_segment_positions(elite_heads[orders[:, 0]], counts)]
-            orders = orders[:, 1:]
         else:
-            counts = np.full(hi - lo, k)
-            classes = np.tile(every, hi - lo)
+            classes, counts = first(orders[:, :batch_size])
+        orders = orders[:, batch_size:]
         lone, events, counts, classes = _filter_pairs(step, batch_size, orders, counts, classes)
         lone[events] = _finish_events(counts, classes, sizes, u[events])
         picks[lo:hi] = lone
@@ -1899,15 +2024,8 @@ def epsilon_for_cases(classing: EquivalenceClassing) -> np.ndarray:
     as an error of 0.  Even-length medians average the two middle
     values, without overflow (:func:`_midpoint`).
     """
-    errors, sizes = classing.class_errors, classing.sizes
-    if classing.k < classing.n:
-        # Member-expanded rows take the unit-weight path of _segment_mad,
-        # about 3x faster than the weighted path over class rows on a
-        # 1000-member population of about 900 classes.
-        errors = np.repeat(errors, sizes, axis=0)
-        sizes = np.ones(classing.n, dtype=np.int64)
-    n, m = errors.shape
-    return _segment_mad(errors.T.ravel(), np.tile(sizes, m), np.full(m, n))
+    members = classing.sizes if classing.k < classing.n else None
+    return _row_mad(classing.class_errors.T, members)
 
 
 def epsilon_lexicase_select(

@@ -1726,6 +1726,20 @@ class TestEpsilonLexicase:
                 epsilon_for_cases(classing), np.median(np.abs(rows - med), axis=0)
             )
 
+    def test_epsilon_of_a_converged_population_weighs_class_rows(self):
+        # About 25 members a class: the MAD weighs class rows by their
+        # member counts, with np.median's bits on member rows.
+        rng = np.random.default_rng(37)
+        base = rng.integers(0, 5, (12, 40)).astype(float)
+        base[:, 1] = rng.normal(size=12) * 1e300
+        rows = base[rng.integers(0, 12, 300)]
+        classing = build_classes(rows)
+        assert classing.n > 8 * classing.k
+        med = np.median(rows, axis=0)
+        np.testing.assert_array_equal(
+            epsilon_for_cases(classing), np.median(np.abs(rows - med), axis=0)
+        )
+
     def test_semi_dynamic_hand_instance(self):
         # tolerances are [1, 0]; during an event the threshold tracks the
         # minimum among the classes still alive.  Case order (1, 0) first
@@ -2038,6 +2052,125 @@ class TestBatchLexicase:
             batch_lexicase_select(
                 classing, 1, SelectorConfig(method="dalex"), RandomSource(0)
             )
+
+
+def first_step_matrices():
+    """Errors and support of the dense first step's test grid, by name."""
+    rng = np.random.default_rng(41)
+    ties = rng.integers(0, 6, (160, 20)).astype(float)
+    support = (rng.random(ties.shape) < 0.3).astype(float)
+    # No one is defined on cases 2-17, so a batch drawn from them has no
+    # defined class and keeps every class.
+    support[:, 2:18] = 0.0
+    support[~support.any(axis=1), 0] = 1.0
+    huge = rng.choice([1e308, -1e308, 1.7e308, -3e307, 0.0, 3.0], (160, 20))
+    members = rng.integers(0, 8, 160)
+    return {
+        "distinct": (rng.normal(size=(160, 20)) * 10.0 ** rng.uniform(-5, 5, 20), None),
+        "ties": (ties, None),
+        "partial": (ties * support, support),
+        # About 2 members a class, member-expanded for the MAD.
+        "duplicates": (ties[rng.integers(0, 80, 160)], None),
+        # About 20 members a class, weighed as class rows.
+        "converged": (ties[rng.integers(0, 8, 160)], None),
+        "converged-partial": ((ties * support)[members], support[members]),
+        "huge": (huge, None),
+        "huge-partial": (huge * support, support),
+    }
+
+
+class TestFirstStep:
+    """The dense first step keeps exactly the pairs the pair step keeps
+    when every event holds every class."""
+
+    @pytest.mark.parametrize("name", list(first_step_matrices()))
+    @pytest.mark.parametrize("tolerance", ["none", "per-case", "fixed", "mad"])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 9, 16])
+    def test_equals_pair_step(self, name, tolerance, batch_size):
+        errors, support = first_step_matrices()[name]
+        classing = build_classes(errors, support)
+        k, m = classing.k, classing.m
+        rng = np.random.default_rng(42)
+        tolerance = {
+            "none": None,
+            "per-case": rng.random(m),
+            "fixed": 0.75,
+            "mad": "mad",
+        }[tolerance]
+        cases = rng.permuted(np.tile(np.arange(m), (60, 1)), axis=1)[:, :batch_size]
+        # Batches of undefined cases only, and of the same case for every event.
+        cases[0] = np.arange(2, 2 + batch_size)
+        cases[1] = cases[1, 0]
+        first, step = selectors._case_major_steps(classing, tolerance)
+        with np.errstate(all="raise"):
+            classes, counts = first(cases)
+        every = np.tile(np.arange(k, dtype=np.int32), len(cases))
+        want_classes, want_counts = step(cases, np.full(len(cases), k), every)
+        assert classes.dtype == want_classes.dtype and counts.dtype == want_counts.dtype
+        np.testing.assert_array_equal(classes, want_classes)
+        np.testing.assert_array_equal(counts, want_counts)
+        if support is not None:
+            # The undefined batch keeps every class.
+            assert counts[0] == k
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 136, 200, 300])
+    def test_batch_sums_have_numpy_bits(self, n):
+        # A pair's batch sum is numpy's pairwise sum of a contiguous row;
+        # the dense step adds the same terms in the same order.
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(3, n, 50)) * 10.0 ** rng.integers(-12, 12, (3, n, 50))
+        rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+        np.testing.assert_array_equal(
+            selectors._batch_sums(values, 0, n).view(np.int64), rows.sum(axis=2).view(np.int64)
+        )
+
+    @pytest.mark.parametrize("members_per_class", [1, 2, 30])
+    def test_row_mad_is_np_median_of_member_rows(self, members_per_class):
+        # Sorted rows, member-expanded rows and weighted class rows all
+        # give np.median's MAD over each row's finite members.
+        rng = np.random.default_rng(43)
+        rows = rng.integers(0, 7, (40, 25)).astype(float) * 10.0 ** rng.integers(-3, 3, (40, 1))
+        rows[rng.random(rows.shape) < 0.3] = np.inf
+        rows[:, 0] = 1.0
+        members = None if members_per_class == 1 else rng.integers(1, 2 * members_per_class, 25)
+        expanded = rows if members is None else np.repeat(rows, members, axis=1)
+        want = []
+        for row in expanded:
+            row = row[np.isfinite(row)]
+            want.append(np.median(np.abs(row - np.median(row))))
+        np.testing.assert_array_equal(selectors._row_mad(rows, members), want)
+
+    def test_member_expanded_rows_stay_within_the_budget(self, monkeypatch):
+        # 512 classes of about 8 members: the MAD sorts each event's 4000
+        # member-expanded scores, so a block holds budget / n events, not
+        # budget / (k b).
+        rng = np.random.default_rng(44)
+        errors = rng.integers(0, 6, (512, 20)).astype(float)
+        errors[:, 0] = np.arange(512)
+        classing = build_classes(errors[rng.permutation(np.arange(4000) % 512)])
+        assert classing.k == 512 and classing.n == 4000
+        budget = 1 << 14
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", budget)
+        widest = []
+        first_step = selectors._first_step
+
+        def recorded(*args):
+            widest.append(len(args[-1]))
+            return first_step(*args)
+
+        monkeypatch.setattr(selectors, "_first_step", recorded)
+        cfg = SelectorConfig(method="batch_lexicase", batch_size=2)
+        batch_lexicase_select(classing, 64, cfg, RandomSource(45))
+        assert max(widest) * classing.n <= budget
+        monkeypatch.setattr(selectors, "_first_step", first_step)
+        tracemalloc.start()
+        try:
+            batch_lexicase_select(classing, 64, cfg, RandomSource(45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 0.36 MB; blocks sized by k b alone peak near 0.9 MB.
+        assert peak < 4 * 8 * budget
 
 
 class TestSelectParents:
