@@ -35,6 +35,7 @@ from .core import (
     TIEBREAK_STREAM,
     EquivalenceClassing,
     RandomSource,
+    _group_rows,
     build_classes,
     expand_class_selection,
     standardize_per_case,
@@ -431,6 +432,10 @@ def sample_importance(
     return gen.permuted(tiled, axis=1)
 
 
+# Below this exponent ``exp`` gives a subnormal power or zero.
+_LOG_TINY = np.log(np.finfo(np.float64).tiny)
+
+
 def softmax_rows(scores, *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
@@ -446,6 +451,11 @@ def softmax_rows(scores, *, out: np.ndarray | None = None) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ShapeError("scores contain non-finite entries")
     z = np.subtract(s, s.max(axis=1, keepdims=True), out=out)
+    # Exponents whose power underflows are flushed before ``exp``, which
+    # is slow in that range.  Their weights, and the row sums, come out
+    # as without the flush: each such power is below tiny, too small to
+    # move a sum of at least 1, and the weight is clamped to tiny.
+    np.copyto(z, -np.inf, where=z < _LOG_TINY)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     np.maximum(z, np.finfo(np.float64).tiny, out=z)
@@ -540,26 +550,27 @@ def _agreed_cases(tied: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     which every marked class has the same error as the row's first one.
 
     Rows are compared as (row, class) pairs, whole rows at a time, with
-    about ``_BLOCK_ENTRIES`` gathered errors per slice.
+    about ``_BLOCK_ENTRIES`` gathered errors per slice.  A pair's
+    differences are packed eight cases a byte before they are reduced
+    over the row's pairs.
     """
+    n, k = tied.shape
     m = class_errors.shape[1]
-    _, cols = np.nonzero(tied)
-    counts = tied.sum(axis=1)
+    # One flat scan: much faster than ``np.nonzero`` on sparse marks.
+    rows, cols = np.divmod(np.flatnonzero(tied), k)
+    counts = np.bincount(rows, minlength=n)
     starts = np.cumsum(counts) - counts
     first = np.repeat(cols[starts], counts)
-    differs = np.empty((tied.shape[0], m), dtype=bool)
+    differs = np.empty((n, -(-m // 8)), dtype=np.uint8)
     budget = max(1, _BLOCK_ENTRIES // m)
     lo = 0
-    while lo < tied.shape[0]:
+    while lo < n:
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + budget, side="right")))
         a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
-        pairs = class_errors[cols[a:b]] != class_errors[first[a:b]]
-        differs[lo:hi] = np.logical_or.reduceat(pairs, starts[lo:hi] - a, axis=0)
+        pairs = np.packbits(class_errors[cols[a:b]] != class_errors[first[a:b]], axis=1)
+        differs[lo:hi] = np.bitwise_or.reduceat(pairs, starts[lo:hi] - a, axis=0)
         lo = hi
-    return ~differs
-
-
-_LOG_TINY = np.log(np.finfo(np.float64).tiny)
+    return np.unpackbits(differs, axis=1, count=m) == 0
 
 
 def _flushed_softmax(scores: np.ndarray) -> np.ndarray:
@@ -1077,7 +1088,10 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     contested events are aggregated again.  Each round settles an event
     or removes at least one of its cases, so at most m rounds run;
     without ties only the first runs.  Classes still marked together
-    when no agreed case is left lie below float resolution.
+    when no agreed case is left lie below float resolution.  Only the
+    first round takes the product over every class; a later round
+    weighs each event's survivors alone, one (event, class) sum each
+    (:func:`_pair_fitness`), since no other class can be marked again.
 
     Ties are relative, not bit-equal.  With the per-case shift every
     weight and error is non-negative, so each computed fitness lies
@@ -1122,12 +1136,30 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
         if live.size == 0:
             break
         z = _flushed_softmax(np.where(usable[live], scores[contested[live]], -np.inf))
-        fitness = np.where(survivors[live], z @ class_errors.T, np.inf)
-        marked = fitness <= fitness.min(axis=1, keepdims=True) * slack
+        # Only the survivors are weighed, one (event, class) pair at a time.
+        rows, classes = np.divmod(np.flatnonzero(survivors[live]), survivors.shape[1])
+        fitness = _pair_fitness(z, rows, classes, class_errors)
+        low = np.full(live.size, np.inf)
+        np.minimum.at(low, rows, fitness)
+        kept = fitness <= low[rows] * slack
+        marked = np.zeros((live.size, survivors.shape[1]), dtype=bool)
+        marked[rows[kept], classes[kept]] = True
         survivors[live] = marked
-        live = live[marked.sum(axis=1) > 1]
+        live = live[np.bincount(rows[kept], minlength=live.size) > 1]
     tied[contested] = survivors
     return tied
+
+
+def _pair_fitness(weights, rows, classes, class_errors) -> np.ndarray:
+    """The fitness of class ``classes[i]`` under weight row ``rows[i]``,
+    for every i, with about ``_BLOCK_ENTRIES`` gathered entries a slice.
+    Each is one row's sum, so it does not depend on the others."""
+    out = np.empty(rows.size)
+    step = max(1, _BLOCK_ENTRIES // weights.shape[1])
+    for a in range(0, rows.size, step):
+        at, of = rows[a : a + step], classes[a : a + step]
+        out[a : a + step] = np.einsum("ij,ij->i", weights[at], class_errors[of])
+    return out
 
 
 def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
@@ -1147,6 +1179,88 @@ def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
         class_errors = class_errors * 0.25
         low = low * 0.25
     return class_errors - low
+
+
+# Repeated error columns are looked for on this many class rows first:
+# columns that differ there differ, and that costs about m short rows.
+_FINGERPRINT_ROWS = 16
+
+
+@dataclass
+class _Columns:
+    """Groups of identical error columns (see :func:`_column_groups`)."""
+
+    order: np.ndarray  # every column, rank by rank (see :func:`_column_groups`)
+    widths: list  # how many groups have a column of each rank
+
+    @property
+    def firsts(self) -> np.ndarray:
+        """Each group's first column: the merged errors' columns."""
+        return self.order[: self.widths[0]]
+
+
+def _column_groups(class_errors: np.ndarray) -> _Columns | None:
+    """The groups of identical columns of ``class_errors``, or None when
+    every column is distinct.
+
+    Distinct values on the first class row prove the columns distinct
+    at the cost of a sort, and otherwise a grouping of the first
+    ``_FINGERPRINT_ROWS`` class rows, transposed, proves most passes'
+    columns distinct; only where it finds candidates are the whole
+    columns grouped (:func:`~lexsel.core._group_rows`).
+    Groups run largest first, ties in order of first column, and
+    ``order`` lists each group's first column, then each group's second,
+    and so on: the groups with an r-th column are the first
+    ``widths[r]``, and their r-th columns follow each other in ``order``.
+    """
+    first = np.sort(class_errors[0])
+    if (first[1:] != first[:-1]).all():
+        return None
+    if _group_rows(np.ascontiguousarray(class_errors[:_FINGERPRINT_ROWS].T))[1] is None:
+        return None
+    group, firsts = _group_rows(np.ascontiguousarray(class_errors.T))
+    if firsts is None:
+        return None
+    counts = np.bincount(group)
+    # Group g's columns, in column order, sit at heads[g] ... in ``by_group``.
+    by_group = np.argsort(group, kind="stable")
+    heads = np.cumsum(counts) - counts
+    ranked = np.argsort(-counts, kind="stable")
+    widths = [int(np.count_nonzero(counts > r)) for r in range(int(counts.max()))]
+    order = np.concatenate([by_group[heads[ranked[:w]] + r] for r, w in enumerate(widths)])
+    return _Columns(order, widths)
+
+
+def _merged_scores(scores: np.ndarray, columns: _Columns) -> np.ndarray:
+    """Each group's log-sum-exp of its columns' ``scores``, per row, the
+    groups in the order of ``columns.firsts``.
+
+    The softmax of the merged scores gives a group the summed weight of
+    its columns, so on the merged errors every class keeps its weighted
+    mean error.  Each group is shifted by its own largest score, so its
+    sum holds an exact 1 and lies in [1, size]: its other terms may be
+    far below the row's largest score, and the cascade's later rounds
+    bring them back.  Exponents below log(tiny) are raised to it before
+    ``exp``, which is slow on subnormal results; such a term is below
+    2^-1021 before and after, and cannot move a sum of at least 1.  A
+    lone column keeps its score bit for bit (log 1 = 0).
+    """
+    # Case major, so each rank's columns are one contiguous block.
+    z = scores.T[columns.order]
+    bounds = np.cumsum([0, *columns.widths]).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    top = z[: columns.widths[0]].copy()
+    for a, b in spans[1:]:
+        np.maximum(top[: b - a], z[a:b], out=top[: b - a])
+    for a, b in spans:
+        z[a:b] -= top[: b - a]
+    np.maximum(z, _LOG_TINY, out=z)
+    np.exp(z, out=z)
+    total = z[: columns.widths[0]]
+    for a, b in spans[1:]:
+        total[: b - a] += z[a:b]
+    top += np.log(total, out=total)
+    return np.ascontiguousarray(top.T)
 
 
 # The partial-support screen (:func:`_partial_screen`) walks each event's
@@ -1372,8 +1486,15 @@ def dalex_select(
     (:func:`_cascade`) so that high pressure yields the lexicographic
     order the weights encode instead of float64 round-off noise.
     Screens decide the events whose final marks they can prove to be
-    one class, with the same picks as the cascade.  Each block runs one
-    chain of screens: on injected or sampled scores, a lexicase filter
+    one class, with the same picks as the cascade.  On full score rows,
+    sampled or injected, identical error columns are merged first
+    (:func:`_column_groups`): each group weighs as one case whose score
+    is the log-sum-exp of its columns' scores (:func:`_merged_scores`),
+    so every class keeps its weighted mean error, and the screens, their
+    rounding bounds and the cascade all work on the merged columns.
+    Scores drawn in parts keep every case: the pilot's bound reads the
+    cases' own columns.  Each block runs one chain of screens: on
+    injected or sampled scores, a lexicase filter
     over each event's heaviest cases (:func:`_lex_screen`); on scores
     drawn in parts, a bound from the heaviest cases alone
     (:func:`_top_decide`), whose leftover events are then completed.  A
@@ -1404,18 +1525,23 @@ def dalex_select(
                 f"importance shape {importance.shape} does not match "
                 f"({n_events}, {classing.m})"
             )
-    screen = None
+    screen = columns = None
     if full_support:
         class_errors = _shifted_errors(class_errors)
-        screen = _screen_setup(class_errors)
+        columns = _column_groups(class_errors)
+        merged = class_errors if columns is None else class_errors[:, columns.firsts]
+        screen = _screen_setup(merged)
     elif class_errors is not classing.class_errors:
         classing = replace(classing, class_errors=class_errors)
     # Drawing in parts serves only events whose heaviest case has a
-    # unique best class.
+    # unique best class.  Its pilot reads the cases' own columns.
     unique = screen is not None and screen.unique_min.any()
     top = None
     if importance is None and unique and cfg.distribution == "normal":
-        top = _decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)
+        own = screen if columns is None else _screen_setup(class_errors)
+        top = _decisive_top_scores(n_events, classing.m, cfg.pressure, rng, own)
+        if top is not None:
+            screen, columns = own, None
     in_parts = top is not None
     if in_parts:
         cases, values, level = top
@@ -1425,6 +1551,10 @@ def dalex_select(
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     if not full_support:
         return _normalized_picks(classing, importance, u)
+    if columns is not None:
+        # Full rows on repeated columns: each group weighs as one case.
+        class_errors = merged
+        importance = _merged_scores(importance, columns)
     picks = np.empty(n_events, dtype=np.intp)
     # The events the screens leave, block by block, and on scores drawn in
     # parts their completed rows; full rows are read from ``importance``.

@@ -218,6 +218,20 @@ class TestSoftmaxRows:
         with pytest.raises(ShapeError):
             softmax_rows([[np.inf, 0.0]])
 
+    def test_flushing_underflow_keeps_every_bit(self):
+        # The flush before ``exp`` drops only powers below tiny: the row
+        # sums and the clamped weights come out as without it.
+        for pressure in (2.0, 20.0, 200.0, 2000.0):
+            cfg = SelectorConfig(method="dalex", pressure=pressure)
+            scores = sample_importance(300, 200, cfg, RandomSource(60))
+            with np.errstate(under="ignore"):
+                powers = np.exp(scores - scores.max(axis=1, keepdims=True))
+            sums = powers.sum(axis=1, keepdims=True)
+            expected = np.maximum(powers / sums, np.finfo(np.float64).tiny)
+            flushed = np.where(powers < np.finfo(np.float64).tiny, 0.0, powers)
+            np.testing.assert_array_equal(flushed.sum(axis=1, keepdims=True), sums)
+            np.testing.assert_array_equal(softmax_rows(scores), expected)
+
 
 class TestWeightedFitness:
     def test_partial_support_hand_value(self):
@@ -1153,23 +1167,24 @@ class TestLexScreen:
         np.testing.assert_array_equal(dalex_select(classing, 300, cfg, RandomSource(99)), picks)
 
 
-def per_block_dalex_picks(classing, n_events, cfg, rng):
+def per_block_dalex_picks(classing, n_events, cfg, rng, importance=None):
     """``dalex_select``'s picks on full support with each block's leftover
     events through a cascade call of their own: the block loop as it was
-    before the pass-wide cascade."""
+    before the pass-wide cascade, on every case's own column."""
     class_errors = classing.class_errors
     if cfg.relaxed:
         class_errors = standardize_per_case(class_errors, classing.sizes)
     class_errors = selectors._shifted_errors(class_errors)
     screen = selectors._screen_setup(class_errors)
     top = None
-    if screen is not None and screen.unique_min.any() and cfg.distribution == "normal":
+    unique = screen is not None and screen.unique_min.any()
+    if importance is None and unique and cfg.distribution == "normal":
         top = selectors._decisive_top_scores(n_events, classing.m, cfg.pressure, rng, screen)
     in_parts = top is not None
     if in_parts:
         cases, values, level = top
         rest = selectors._RestStream(rng, classing.m)
-    else:
+    elif importance is None:
         importance = sample_importance(n_events, classing.m, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
@@ -1292,6 +1307,194 @@ class TestPassCascade:
             assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
             assert min(sizes) >= 2 or n == 1
             assert max(sizes) <= (cap if cap > 2 else 3)
+
+
+def repeated_matrices():
+    """Full-support matrices with repeated error columns: groups of one
+    to five copies, every column one, a single repeated pair, and an
+    evolve population (``discrete_vector`` train keys cycle over m // 3
+    keys), with k above and below 64."""
+    rng = np.random.default_rng(47)
+
+    def spread(base, sizes):
+        # Each base column ``sizes[j]`` times, the copies shuffled.
+        cols = np.repeat(np.arange(base.shape[1]), sizes)
+        return base[:, rng.permutation(cols)]
+
+    ties = rng.integers(0, 6, (300, 15)).astype(float)
+    small = rng.integers(0, 4, (40, 12)).astype(float)
+    pair = rng.random((120, 20))
+    pair[:, 13] = pair[:, 4]
+    problem = SyntheticProblem(kind="discrete_vector", m=60, seed=48)
+    population = [problem.initial_genome(rng) for _ in range(400)]
+    return {
+        "sizes-1-5": spread(ties, np.arange(15) % 5 + 1),
+        "small": spread(small, np.arange(12) % 5 + 1),
+        "one-column": np.tile(rng.permutation(90).astype(float)[:, None], (1, 7)),
+        "one-pair": pair,
+        "evolve": problem.evaluate(population)[0],
+    }
+
+
+def merged_groups(columns, m):
+    """Each column's group under :func:`selectors._column_groups`' result,
+    groups numbered as in the merged errors; every column alone when None."""
+    if columns is None:
+        return np.arange(m)
+    group = np.empty(m, dtype=np.intp)
+    start = 0
+    for width in columns.widths:
+        group[columns.order[start : start + width]] = np.arange(width)
+        start += width
+    return group
+
+
+class TestMergedColumns:
+    """On full score rows, identical error columns weigh as one case whose
+    score is the log-sum-exp of theirs, with the picks of every case's
+    own column (:func:`per_block_dalex_picks`)."""
+
+    def test_groups_are_the_identical_columns(self):
+        for name, errors in repeated_matrices().items():
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            group = merged_groups(selectors._column_groups(shifted), shifted.shape[1])
+            _, expected = np.unique(shifted.T, axis=0, return_inverse=True)
+            # The same partition, whatever the numbering.
+            pairs = np.unique(np.stack([group, expected.ravel()]), axis=1)
+            assert pairs.shape[1] == group.max() + 1 == expected.max() + 1, name
+
+    def test_fingerprint_rows_only_admit_candidates(self):
+        rng = np.random.default_rng(49)
+        errors = rng.random((100, 6))
+        errors[:, 1] = errors[:, 0]
+        errors[:, 3] = errors[:, 2]
+        # Columns 2 and 3 agree on the fingerprint rows only.
+        errors[selectors._FINGERPRINT_ROWS + 4, 3] += 1.0
+        group = merged_groups(selectors._column_groups(errors), 6)
+        assert group[0] == group[1]
+        assert len(set(group[2:].tolist())) == 4 and group[0] not in group[2:]
+        distinct = rng.random((100, 6))
+        assert selectors._column_groups(distinct) is None
+        # Equal on the first row only: the fingerprint rows tell them apart.
+        distinct[0, 5] = distinct[0, 4]
+        assert selectors._column_groups(distinct) is None
+
+    def test_merged_scores_weigh_each_group_as_its_columns(self):
+        rng = np.random.default_rng(50)
+        errors = repeated_matrices()["sizes-1-5"]
+        columns = selectors._column_groups(errors)
+        group = merged_groups(columns, errors.shape[1])
+        for pressure in (2.0, 200.0, 2000.0):
+            scores = rng.normal(0.0, pressure, (50, errors.shape[1]))
+            merged = selectors._merged_scores(scores, columns)
+            expected = np.stack(
+                [np.logaddexp.reduce(scores[:, group == g], axis=1) for g in range(group.max() + 1)],
+                axis=1,
+            )
+            # A score's absolute error is its weight's relative one.
+            atol = 4 * np.finfo(float).eps * np.abs(scores).max()
+            np.testing.assert_allclose(merged, expected, rtol=0, atol=atol)
+            # A lone column keeps its score bit for bit.
+            alone = np.flatnonzero(np.bincount(group) == 1)
+            np.testing.assert_array_equal(merged[:, alone], scores[:, columns.firsts[alone]])
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_picks_equal_unmerged_picks(self, monkeypatch, blocks):
+        merged = []
+        merge = selectors._merged_scores
+
+        def recorded(scores, columns):
+            merged.append(scores.shape)
+            return merge(scores, columns)
+
+        monkeypatch.setattr(selectors, "_merged_scores", recorded)
+        for name, errors in repeated_matrices().items():
+            classing = build_classes(errors)
+            if blocks:
+                monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 64 * classing.k)
+            for pressure in (2.0, 20.0, 200.0):
+                for relaxed in (False, True):
+                    cfg = SelectorConfig("dalex", pressure=pressure, relaxed=relaxed)
+                    scores = sample_importance(500, classing.m, cfg, RandomSource(51))
+                    # Injected scores, and scores the pass draws itself.
+                    for injected in (scores, None):
+                        picks = dalex_select(classing, 500, cfg, RandomSource(52), injected)
+                        expected = per_block_dalex_picks(
+                            classing, 500, cfg, RandomSource(52), injected
+                        )
+                        np.testing.assert_array_equal(
+                            picks, expected, err_msg=f"{name} {cfg} {injected is None}"
+                        )
+        assert len(merged) > 0
+
+    def test_extreme_errors_raise_nothing(self):
+        errors = repeated_matrices()["sizes-1-5"]
+        classing = build_classes((errors - 2.5) * 4e307)
+        for pressure in (2.0, 200.0):
+            for relaxed in (False, True):
+                cfg = SelectorConfig("dalex", pressure=pressure, relaxed=relaxed)
+                scores = sample_importance(400, classing.m, cfg, RandomSource(53))
+                expected = per_block_dalex_picks(classing, 400, cfg, RandomSource(54), scores)
+                with np.errstate(all="raise"):
+                    picks = dalex_select(classing, 400, cfg, RandomSource(54), scores)
+                np.testing.assert_array_equal(picks, expected)
+
+    def test_high_pressure_approaches_lexicase(self):
+        rng = np.random.default_rng(55)
+        errors = rng.integers(0, 4, (7, 4)).astype(float)[:, [0, 1, 1, 2, 3, 3, 3]]
+        classing = build_classes(errors)
+        assert selectors._column_groups(classing.class_errors) is not None
+        exact = exact_lexicase_probs(classing).probs
+        cfg = SelectorConfig("dalex", pressure=200.0)
+        picks = dalex_select(classing, 30_000, cfg, RandomSource(56))
+        freqs = np.bincount(picks, minlength=classing.k) / 30_000
+        assert np.abs(freqs - exact).max() < 0.015
+
+    def test_tie_slack_counts_merged_cases(self):
+        # Shifted, class 0 has [0, 1] and class 1 [1, 0] on two cases of
+        # 100 copies each.  Case 0 outweighs case 1 by a factor
+        # 1 + 1e-14, so class 0 is better by that much: beyond the tie
+        # slack of two merged cases (1 + 4 eps), within that of 200.
+        errors = np.repeat([[1.0, 2.0], [2.0, 1.0]], 100, axis=1)
+        classing = build_classes(errors)
+        scores = np.zeros((300, 200))
+        scores[:, :100] = 1e-14
+        picks = dalex_select(classing, 300, SelectorConfig("dalex"), RandomSource(57), scores)
+        assert (picks == 0).all()
+
+
+class TestTieRounds:
+    """The cascade's helpers for its tie rounds."""
+
+    def test_agreed_cases_match_a_direct_comparison(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        # 13 cases: the packed differences end mid-byte.
+        errors = rng.integers(0, 3, (50, 13)).astype(float)
+        tied = rng.random((40, 50)) < 0.1
+        tied[np.arange(40), rng.integers(0, 50, 40)] = True
+        tied[np.arange(40), rng.integers(0, 50, 40)] = True
+        tied = tied[tied.sum(axis=1) > 1]
+        expected = np.array(
+            [(errors[row] == errors[row][:1]).all(axis=0) for row in tied]
+        )
+        np.testing.assert_array_equal(selectors._agreed_cases(tied, errors), expected)
+        # Slices of a few rows each give the same.
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 3 * 13)
+        np.testing.assert_array_equal(selectors._agreed_cases(tied, errors), expected)
+
+    def test_pair_fitness_does_not_depend_on_its_slices(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        errors = rng.random((30, 9))
+        weights = selectors._flushed_softmax(rng.normal(0.0, 20.0, (12, 9)))
+        rows, classes = rng.integers(0, 12, 200), rng.integers(0, 30, 200)
+        whole = selectors._pair_fitness(weights, rows, classes, errors)
+        np.testing.assert_allclose(whole, (weights[rows] * errors[classes]).sum(axis=1), rtol=1e-14)
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 7 * 9)
+        sliced = selectors._pair_fitness(weights, rows, classes, errors)
+        np.testing.assert_array_equal(sliced, whole)
+        # Each pair alone, too.
+        alone = [selectors._pair_fitness(weights, rows[i : i + 1], classes[i : i + 1], errors) for i in range(5)]
+        np.testing.assert_array_equal(np.concatenate(alone), whole[:5])
 
 
 def per_block_partial_picks(classing, n_events, cfg, rng, importance=None):

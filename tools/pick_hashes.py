@@ -10,7 +10,11 @@ block each, so multi-block cells follow: ``dalex`` on every regime at
 4000x200 with 4000 events, where a pass runs several blocks.  On full
 support the events its screens leave are gathered across the blocks
 for the cascade; on ``partial_support`` those the partial-support
-screen leaves are gathered for ``weighted_fitness``.  The script prints
+screen leaves are gathered for ``weighted_fitness``.  The regime
+matrices have no repeated error columns, so ``dalex`` cells on an
+``evolve`` population close the grid: 1000 initial genomes of a
+``discrete_vector`` problem with m = 200, whose train keys cycle over
+m // 3 keys, so 66 of the 200 columns are distinct.  The script prints
 one line per cell, ``regime seed method hash`` (the regime suffixed
 ``-4000`` for the multi-block cells), then ``total`` and a hash of every
 cell.  Running it on two checkouts and comparing the output shows which
@@ -30,6 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
+from lexsel import evolve  # noqa: E402
 from lexsel.bench import REGIMES, make_regime_matrices  # noqa: E402
 from lexsel.core import RandomSource  # noqa: E402
 from lexsel.selectors import SelectorConfig, select_parents  # noqa: E402
@@ -39,6 +44,14 @@ SEEDS = (0, 1)
 # The multi-block grid: n individuals and events, and its regimes.
 WIDE_N = 4000
 WIDE_REGIMES = REGIMES
+
+
+def evolve_matrices(n: int, m: int, seed: int):
+    """The errors of ``n`` initial genomes of a ``discrete_vector`` problem
+    with ``m`` cases, and no support matrix."""
+    problem = evolve.SyntheticProblem(kind="discrete_vector", m=m, seed=seed)
+    gen = RandomSource(seed).generator(0)
+    return problem.evaluate([problem.initial_genome(gen) for _ in range(n)])
 
 
 def dalex_configs() -> dict[str, SelectorConfig]:
@@ -67,11 +80,18 @@ def configs() -> dict[str, SelectorConfig]:
 
 def main() -> None:
     total = hashlib.sha256()
-    grids = [(N, REGIMES, "", configs()), (WIDE_N, WIDE_REGIMES, f"-{WIDE_N}", dalex_configs())]
+    grids = [
+        (N, REGIMES, "", configs()),
+        (WIDE_N, WIDE_REGIMES, f"-{WIDE_N}", dalex_configs()),
+        (N, ("evolve",), "", dalex_configs()),
+    ]
     for n, regimes, suffix, cells in grids:
         for regime in regimes:
             for seed in SEEDS:
-                errors, support = make_regime_matrices(regime, n, M, RandomSource(seed))
+                if regime == "evolve":
+                    errors, support = evolve_matrices(n, M, seed)
+                else:
+                    errors, support = make_regime_matrices(regime, n, M, RandomSource(seed))
                 for name, cfg in cells.items():
                     picks = select_parents(errors, support, cfg, n, RandomSource(seed).child(1))
                     digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
