@@ -14,13 +14,16 @@ screen leaves are gathered for ``weighted_fitness``.  The regime
 matrices have no repeated error columns, so ``dalex`` cells on an
 ``evolve`` population close the grid: 1000 initial genomes of a
 ``discrete_vector`` problem with m = 200, whose train keys cycle over
-m // 3 keys, so 66 of the 200 columns are distinct.  The script prints
-one line per cell, ``regime seed method hash`` (the regime suffixed
-``-4000`` for the multi-block cells), then ``total`` and a hash of every
-cell.  Running it on two checkouts and comparing the output shows which
-cells a change moved; a change that keeps picks bit-identical leaves
-every line as it was.  Not part of the test suite; it takes about 15
-seconds.
+m // 3 keys, so 66 of the 200 columns are distinct.  Last come the
+``huge`` cells: plain ``dalex`` on the ``continuous_all_distinct``
+4000x200 errors times 1e300, too large for the float32 screen, so the
+pass runs no screen and every event goes through the cascade, over
+several blocks.  The script prints one line per cell,
+``regime seed method hash`` (the regime suffixed ``-4000`` for the
+multi-block cells), then ``total`` and a hash of every cell.  Running
+it on two checkouts and comparing the output shows which cells a change
+moved; a change that keeps picks bit-identical leaves every line as it
+was.  Not part of the test suite; it takes about 20 seconds.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ SEEDS = (0, 1)
 # The multi-block grid: n individuals and events, and its regimes.
 WIDE_N = 4000
 WIDE_REGIMES = REGIMES
+# The screenless grid's errors: continuous_all_distinct times this.
+HUGE = 1e300
 
 
 def evolve_matrices(n: int, m: int, seed: int):
@@ -54,11 +59,11 @@ def evolve_matrices(n: int, m: int, seed: int):
     return problem.evaluate([problem.initial_genome(gen) for _ in range(n)])
 
 
-def dalex_configs() -> dict[str, SelectorConfig]:
+def dalex_configs(relaxed_cells=(False, True)) -> dict[str, SelectorConfig]:
     """The ``dalex`` cells, by name."""
     cells = {}
     for pressure in (2.0, 20.0, 200.0):
-        for relaxed in (False, True):
+        for relaxed in relaxed_cells:
             name = f"dalex-p{pressure:g}" + ("-relaxed" if relaxed else "")
             cells[name] = SelectorConfig(method="dalex", pressure=pressure, relaxed=relaxed)
     return cells
@@ -84,12 +89,19 @@ def main() -> None:
         (N, REGIMES, "", configs()),
         (WIDE_N, WIDE_REGIMES, f"-{WIDE_N}", dalex_configs()),
         (N, ("evolve",), "", dalex_configs()),
+        # Relaxed dalex standardizes the errors, which the screens then take.
+        (WIDE_N, ("huge",), f"-{WIDE_N}", dalex_configs(relaxed_cells=(False,))),
     ]
     for n, regimes, suffix, cells in grids:
         for regime in regimes:
             for seed in SEEDS:
                 if regime == "evolve":
                     errors, support = evolve_matrices(n, M, seed)
+                elif regime == "huge":
+                    errors, support = make_regime_matrices(
+                        "continuous_all_distinct", n, M, RandomSource(seed)
+                    )
+                    errors = errors * HUGE
                 else:
                     errors, support = make_regime_matrices(regime, n, M, RandomSource(seed))
                 for name, cfg in cells.items():
