@@ -1485,34 +1485,47 @@ def dalex_select(
     support, aggregation runs through a tie-resolving cascade
     (:func:`_cascade`) so that high pressure yields the lexicographic
     order the weights encode instead of float64 round-off noise.
-    Screens decide the events whose final marks they can prove to be
-    one class, with the same picks as the cascade.  On full score rows,
-    sampled or injected, identical error columns are merged first
+    Partial support takes no cascade (dividing by per-class support mass
+    leaves no exact cancellation to exploit): its marks are exact float64
+    ties of the two products (:func:`_least_marked`).  Screens decide
+    the events whose final marks they can prove to be one class, with
+    the same picks as the marking.  On full score rows, sampled or
+    injected, identical error columns are merged first
     (:func:`_column_groups`): each group weighs as one case whose score
     is the log-sum-exp of its columns' scores (:func:`_merged_scores`),
     so every class keeps its weighted mean error, and the screens, their
     rounding bounds and the cascade all work on the merged columns.
     Scores drawn in parts keep every case: the pilot's bound reads the
-    cases' own columns.  Each block runs one chain of screens: on
-    injected or sampled scores, a lexicase filter
-    over each event's heaviest cases (:func:`_lex_screen`); on scores
-    drawn in parts, a bound from the heaviest cases alone
-    (:func:`_top_decide`), whose leftover events are then completed.  A
-    float32 product (:func:`_screen_setup`) takes the full rows left, but
-    for those the filter walked from a tied heaviest case.  The events
-    left are only recorded; after the last block they all go through the
-    cascade in chunks of at most half a block (:func:`_cascade_chunks`),
-    so its per-call cost is paid a few times a pass, not once a block,
-    and memory still grows with the block.  Partial support takes no
-    cascade (dividing by per-class support mass leaves no exact
-    cancellation to exploit): marks are exact float64 ties.  There a
-    zero-walk screen (:func:`_partial_screen`) decides the events whose
-    computed fitness it proves to have one least class, when a pilot
-    shows it pays, and the others go through the two products in chunks
-    of their own (:func:`_normalized_picks`).
+    cases' own columns.
+
+    Every pass runs one block loop.  Each block takes one first screen:
+    on scores drawn in parts, a bound from the heaviest cases alone
+    (:func:`_top_decide`), whose leftover events are then completed; on
+    full rows, injected or sampled, a lexicase filter over each event's
+    heaviest cases (:func:`_lex_screen`); on partial support, when a
+    pilot shows it pays (:func:`_partial_pilot`), a zero-walk screen
+    (:func:`_partial_screen`) for the events whose computed fitness it
+    proves to have one least class.  A pass whose errors the screens
+    cannot bound runs none.  A float32 product (:func:`_screen_setup`)
+    then takes the full rows left, but for those the filter walked from
+    a tied heaviest case.  The events left are only recorded; after the
+    last block one tail marks them all and draws the picks.  On full
+    support it runs the cascade in chunks of at most half a block
+    (:func:`_cascade_chunks`), so its per-call cost is paid a few times
+    a pass, not once a block, and memory still grows with the block.  On
+    partial support it runs the products in near-equal chunks of event
+    blocks (:func:`_event_blocks`), a lone row weighed beside a copy of
+    itself unless the pass has one event: a product row can round apart
+    with the rows around it, and a pass with the screen off leaves every
+    event, so its chunks are exactly its blocks.  The product buffers
+    then hold the events left only, and their scores are taken again
+    from ``importance`` rather than kept from the blocks, which left the
+    heap more fragmented.
     """
     if cfg.method != "dalex":
         raise ConfigError(f"method: dalex_select called with method {cfg.method!r}")
+    if n_events < 1:
+        raise ShapeError(f"need n_events >= 1, got {n_events}")
     full_support = classing.full_support
     class_errors = classing.class_errors
     if cfg.relaxed:
@@ -1525,6 +1538,8 @@ def dalex_select(
                 f"importance shape {importance.shape} does not match "
                 f"({n_events}, {classing.m})"
             )
+        if not np.isfinite(importance).all():
+            raise ShapeError("importance contains non-finite entries")
     screen = columns = None
     if full_support:
         class_errors = _shifted_errors(class_errors)
@@ -1549,17 +1564,19 @@ def dalex_select(
     elif importance is None:
         importance = sample_importance(n_events, classing.m, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
-    if not full_support:
-        return _normalized_picks(classing, importance, u)
+    partial = None if full_support else _partial_pilot(classing, importance)
     if columns is not None:
         # Full rows on repeated columns: each group weighs as one case.
         class_errors = merged
         importance = _merged_scores(importance, columns)
     picks = np.empty(n_events, dtype=np.intp)
+    blocks = list(_event_blocks(n_events, classing.k))
+    if partial is not None:
+        weights = np.empty((max(hi - lo for lo, hi in blocks), classing.m))
     # The events the screens leave, block by block, and on scores drawn in
     # parts their completed rows; full rows are read from ``importance``.
     pending, pending_scores = [], []
-    for lo, hi in _event_blocks(n_events, classing.k):
+    for lo, hi in blocks:
         if in_parts:
             rows, classes = _top_decide(cases[lo:hi], values[lo:hi], screen)
             picks[lo + rows] = classes
@@ -1569,12 +1586,16 @@ def dalex_select(
             )
             rows = walked = rows[:0]
         else:
-            # Injected or sampled scores: full rows, which the walk takes first.
+            # Injected or sampled scores: full rows, which the walk takes
+            # first, or on partial support the zero-walk screen.
             events, scores = np.arange(lo, hi), importance[lo:hi]
-            rows = walked = events[:0]
+            rows = walked = classes = events[:0]
             if screen is not None:
                 rows, classes, walked = _lex_screen(scores, screen)
-                picks[lo + rows] = classes
+            elif partial is not None:
+                w = softmax_rows(scores, out=weights[: hi - lo])
+                rows, classes, _ = _partial_screen(w, partial)
+            picks[lo + rows] = classes
         left = np.ones(events.size, dtype=bool)
         left[rows] = False
         # The float32 screen takes the full rows left but the tied events
@@ -1592,63 +1613,31 @@ def dalex_select(
             pending.append(events[left])
             if in_parts:
                 pending_scores.append(scores[left])
-    if pending:
-        # One cascade pass over every block's leftovers: its cost is
-        # mostly per call, a full read of the errors a round.
-        pending = np.concatenate(pending)
-        if in_parts:
-            pending_scores = np.concatenate(pending_scores)
-        for a, b in _cascade_chunks(pending.size, classing.k):
-            events = pending[a:b]
+    if not pending:
+        return picks
+    # One marking pass over every block's leftovers: the cascade's cost is
+    # mostly per call, a full read of the errors a round.
+    pending = np.concatenate(pending)
+    if in_parts:
+        pending_scores = np.concatenate(pending_scores)
+    chunks = list((_cascade_chunks if full_support else _event_blocks)(pending.size, classing.k))
+    if not full_support:
+        size = max(2, max(b - a for a, b in chunks))
+        weights, buffers = np.empty((size, classing.m)), _marking_buffers(size, classing.k)
+    for a, b in chunks:
+        events = pending[a:b]
+        if full_support:
             scores = pending_scores[a:b] if in_parts else importance[events]
             picks[events] = _pick_marked(_cascade(scores, class_errors), u[events])
-    return picks
-
-
-def _normalized_picks(classing: EquivalenceClassing, importance: np.ndarray, u: np.ndarray):
-    """:func:`dalex_select`'s picks on partial support: per event, the
-    classes of least ``weighted_fitness`` under the ``softmax_rows``
-    weights of ``importance`` are marked by exact equality and
-    :func:`_pick_marked` draws one with ``u``.
-
-    When the errors are non-negative and a pilot of the first
-    ``_PILOT`` events shows it pays, :func:`_partial_screen` decides the
-    events it can prove to mark one class alone, block by block.  Those
-    it leaves go through the products after the last block, in
-    near-equal chunks of their own (:func:`_event_blocks`, a lone row
-    weighed beside a copy of itself unless the pass has one event), so
-    the product buffers hold those events only; their weights are taken
-    again from ``importance`` rather than kept from the blocks, which
-    left the heap more fragmented.  Otherwise every block runs the
-    products, in one set of block buffers.
-    """
-    n_events, k = u.size, classing.k
-    picks = np.empty(n_events, dtype=np.intp)
-    screen = _partial_pilot(classing, importance)
-    blocks = list(_event_blocks(n_events, k))
-    weights = np.empty((max(hi - lo for lo, hi in blocks), classing.m))
-    buffers = None if screen is not None else _marking_buffers(weights.shape[0], k)
-    pending = []
-    for lo, hi in blocks:
-        w = softmax_rows(importance[lo:hi], out=weights[: hi - lo])
-        if screen is None:
-            picks[lo:hi] = _pick_marked(_least_marked(classing, w, buffers), u[lo:hi])
-            continue
-        rows, classes, _ = _partial_screen(w, screen)
-        picks[lo + rows] = classes
-        pending.append(lo + np.delete(np.arange(hi - lo), rows))
-    pending = np.concatenate(pending) if pending else np.empty(0, dtype=np.intp)
-    if pending.size:
-        chunks = list(_event_blocks(pending.size, k))
-        buffers = _marking_buffers(max(2, max(b - a for a, b in chunks)), k)
-        for a, b in chunks:
+        else:
             # The softmax works row by row, so these are the block's weights.
-            events = pending[a:b]
-            w = softmax_rows(importance[events])
-            if w.shape[0] == 1 and n_events > 1:
+            # Every index is valid, and "clip" gathers straight into the
+            # buffer, where the default mode would copy through a new one.
+            w = np.take(importance, events, axis=0, out=weights[: b - a], mode="clip")
+            softmax_rows(w, out=w)
+            if b - a == 1 and n_events > 1:
                 w = np.repeat(w, 2, axis=0)
-            marked = _least_marked(classing, w, buffers)[: b - a]
-            picks[events] = _pick_marked(marked, u[events])
+            picks[events] = _pick_marked(_least_marked(classing, w, buffers)[: b - a], u[events])
     return picks
 
 
@@ -1849,6 +1838,42 @@ def _batch_sums(values: np.ndarray, lo: int, n: int) -> np.ndarray:
     return _batch_sums(values, lo, half) + _batch_sums(values, lo + half, n - half)
 
 
+def _batch_means(values: np.ndarray, undefined: bool) -> np.ndarray:
+    """The mean of ``values`` over axis 1, a batch's cases, counting only
+    the defined entries when ``undefined`` says +inf marks some; +inf
+    where none is defined.  A batch of one case returns its values.
+
+    Sums take numpy's pairwise order (:func:`_batch_sums`), so a batch
+    has the bits of ``.sum()`` over its contiguous values, whichever
+    axis comes last.  ``values`` is overwritten.
+    """
+    n = values.shape[1]
+    if n == 1:
+        return values[:, 0]
+    n_defined = n
+    if undefined:
+        defined = values != np.inf
+        n_defined = defined.sum(axis=1)
+        # Zero the undefined entries for the sum.  Multiplying their bits
+        # by 0 is cheaper than a masked assignment.
+        bits = values.view(np.int64)
+        bits *= defined
+    divisor = np.maximum(n_defined, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _batch_sums(values, 0, n) / divisor
+    wide = ~np.isfinite(means)
+    if wide.any():
+        # Errors near the float limit overflow the sum, though their mean
+        # fits.  Scaling those batches by a power of two is exact, so every
+        # other mean keeps its bits (as in standardize_per_case); each
+        # gathered batch is a contiguous row.
+        scaled = np.moveaxis(values, 1, -1)[wide] * 2.0**-600
+        means[wide] = scaled.sum(axis=1) / np.broadcast_to(divisor, wide.shape)[wide] * 2.0**600
+    if undefined:
+        means[n_defined == 0] = np.inf
+    return means
+
+
 def _first_step(
     case_errors: np.ndarray,
     undefined: bool,
@@ -1865,28 +1890,7 @@ def _first_step(
     """
     k = case_errors.shape[1]
     # Each event's batch rows, (events, batch, k).
-    values = case_errors[cases]
-    if cases.shape[1] == 1:
-        scores = values[:, 0]
-    else:
-        n_defined = cases.shape[1]
-        if undefined:
-            defined = values != np.inf
-            n_defined = defined.sum(axis=1)
-            bits = values.view(np.int64)
-            bits *= defined
-        divisor = np.maximum(n_defined, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = _batch_sums(values, 0, cases.shape[1]) / divisor
-        wide = ~np.isfinite(scores)
-        if wide.any():
-            # As in _filter_step, overflowing sums are taken again scaled
-            # by a power of two; values[e, :, c] rows sum contiguously.
-            e, c = np.nonzero(wide)
-            scaled = values[e, :, c] * 2.0**-600
-            scores[e, c] = scaled.sum(axis=1) / np.broadcast_to(divisor, wide.shape)[e, c] * 2.0**600
-        if undefined:
-            scores[n_defined == 0] = np.inf
+    scores = _batch_means(case_errors[cases], undefined)
     threshold = scores.min(axis=1)
     if isinstance(tolerance, np.ndarray):
         threshold += tolerance[cases[:, 0]]
@@ -1935,30 +1939,7 @@ def _filter_step(
     # Flat positions of each pair's entries in the case-major matrix; an
     # event's classes ascend, so it reads each case row in order.
     at = np.repeat(cases * case_errors.shape[1], counts, axis=0) + classes[:, None]
-    if cases.shape[1] == 1:
-        # The mean over one case is its error.
-        scores = case_errors.take(at[:, 0])
-    else:
-        values = case_errors.take(at)
-        n_defined = cases.shape[1]
-        if undefined:
-            defined = values != np.inf
-            n_defined = defined.sum(axis=1)
-            # Zero the undefined entries for the sum.  Multiplying their
-            # bits by 0 is cheaper than a masked assignment.
-            bits = values.view(np.int64)
-            bits *= defined
-        divisor = np.broadcast_to(np.maximum(n_defined, 1), len(at))
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = values.sum(axis=1) / divisor
-        wide = ~np.isfinite(scores)
-        if wide.any():
-            # Errors near the float limit overflow the sum, though their
-            # mean fits.  Scaling those rows by a power of two is exact, so
-            # every other row keeps its bits (as in standardize_per_case).
-            scores[wide] = (values[wide] * 2.0**-600).sum(axis=1) / divisor[wide] * 2.0**600
-        if undefined:
-            scores[n_defined == 0] = np.inf
+    scores = _batch_means(case_errors.take(at), undefined)
     threshold = np.minimum.reduceat(scores, heads)
     if isinstance(tolerance, np.ndarray):
         threshold += tolerance[cases[:, 0]]

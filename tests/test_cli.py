@@ -81,6 +81,12 @@ class TestSelect:
         result = run_cli("select", errors_csv, "--support", str(support))
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("method", ["dalex", "lexicase", "epsilon_lexicase", "batch_lexicase"])
+    def test_zero_events_exits_3(self, errors_csv, method):
+        result = run_cli("select", errors_csv, "--method", method, "--events", "0")
+        assert result.returncode == 3
+        assert result.stdout == ""
+
     def test_unknown_method_exits_4(self, errors_csv):
         result = run_cli("select", errors_csv, "--method", "quantum")
         assert result.returncode == 4

@@ -1,5 +1,6 @@
 """Tests for the selection methods and their shared plumbing."""
 
+import math
 import statistics
 import tracemalloc
 import warnings
@@ -375,6 +376,59 @@ class TestDalexSelect:
         classing = build_classes([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ShapeError):
             dalex_select(classing, 5, self.cfg(), RandomSource(0), importance=np.ones((5, 3)))
+
+    ROUTES = ("in-parts", "full-rows", "injected", "partial", "no-screen")
+
+    def route(self, name, patch, n_events=300):
+        """A classing, config and injected scores (or None) that send a
+        pass down route ``name``, and the first screen its blocks run
+        there (None for a pass with no screen)."""
+        errors, support = make_regime_matrices("continuous_all_distinct", 300, 40, RandomSource(60))
+        cfg, scores, first = self.cfg(pressure=200.0), None, "_lex_screen"
+        if name == "in-parts":
+            first = "_top_decide"
+        elif name == "full-rows":
+            cfg = self.cfg(pressure=200.0, distribution="uniform")
+        elif name == "injected":
+            scores = np.random.default_rng(61).normal(0.0, 200.0, (max(n_events, 0), 40))
+        elif name == "partial":
+            errors, support = partial_matrices()["zero-rich"]
+            patch.setattr(selectors, "_PARTIAL_CLASSES", 0)
+            first = "_partial_screen"
+        else:
+            errors, first = errors * 1e300, None
+        return build_classes(errors, support), cfg, scores, first
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_routes_run_their_first_screen(self, monkeypatch, name):
+        calls = []
+        for screen in ("_top_decide", "_lex_screen", "_partial_screen"):
+            run = getattr(selectors, screen)
+
+            def recorded(*args, _run=run, _screen=screen):
+                calls.append(_screen)
+                return _run(*args)
+
+            monkeypatch.setattr(selectors, screen, recorded)
+        classing, cfg, scores, first = self.route(name, monkeypatch)
+        dalex_select(classing, 300, cfg, RandomSource(62), importance=scores)
+        assert set(calls) == ({first} if first else set())
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("n_events", [0, -1])
+    def test_event_count_checked_on_every_route(self, monkeypatch, name, n_events):
+        classing, cfg, scores, _ = self.route(name, monkeypatch, n_events)
+        with pytest.raises(ShapeError, match="n_events"):
+            dalex_select(classing, n_events, cfg, RandomSource(63), importance=scores)
+
+    @pytest.mark.parametrize("name", ["injected", "partial", "no-screen"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_importance_rejected_on_every_route(self, monkeypatch, name, bad):
+        classing, cfg, _, _ = self.route(name, monkeypatch)
+        scores = np.random.default_rng(64).normal(0.0, 200.0, (300, classing.m))
+        scores[7, 3] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            dalex_select(classing, 300, cfg, RandomSource(65), importance=scores)
 
     def test_method_mismatch_rejected(self):
         classing = build_classes([[0.0]])
@@ -1633,6 +1687,39 @@ class TestPartialScreen:
         dalex_select(classing, 500, SelectorConfig("dalex", pressure=200.0), RandomSource(19))
         assert weighed == [2]
 
+    @pytest.mark.parametrize("screened", [False, True])
+    def test_leftovers_keep_block_chunks(self, monkeypatch, screened):
+        # Partial marks are exact float64 ties, and a product row can round
+        # apart with the rows around it, so the events a pass leaves are
+        # weighed in chunks the size of event blocks: with the screen off,
+        # exactly the pass's blocks.  Half-block cascade chunks would not do.
+        errors, support = make_regime_matrices("partial_support", 300, 40, RandomSource(20))
+        classing = build_classes(errors, support)
+        if not screened:
+            monkeypatch.setattr(selectors, "_PARTIAL_CLASSES", classing.k)
+        # Blocks of 32 rows; at pressure 5 the screen leaves about 180 events.
+        monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 32 * classing.k)
+        marked, weighed = selectors._least_marked, []
+
+        def recorded(classing, weights, buffers):
+            weighed.append(weights.shape[0])
+            return marked(classing, weights, buffers)
+
+        monkeypatch.setattr(selectors, "_least_marked", recorded)
+        n_events = 2000
+        cfg = SelectorConfig("dalex", pressure=5.0)
+        with monkeypatch.context() as patch:
+            decided = self.recorded_screen(patch)
+            picks = dalex_select(classing, n_events, cfg, RandomSource(21))
+        # The screen's first call is the pilot's, on the pass's first events.
+        n_pending = n_events - sum(d for _, d in decided[1:])
+        assert (n_pending < n_events) == screened
+        chunks = [b - a for a, b in selectors._event_blocks(n_pending, classing.k)]
+        assert len(chunks) >= 3 and weighed == chunks
+        np.testing.assert_array_equal(
+            picks, per_block_partial_picks(classing, n_events, cfg, RandomSource(21))
+        )
+
     def test_single_case(self):
         # m = 1 forces full support, so the screen is run on its own.
         errors = np.random.default_rng(6).integers(0, 4, (30, 1)).astype(float)
@@ -2002,6 +2089,15 @@ class TestEpsilonLexicase:
             epsilon_lexicase_select(classing, 1, RandomSource(0), epsilons=[-1.0, 0.0])
 
 
+def safe_median(values):
+    """``statistics.median``, with an even count's midpoint taken as
+    ``a / 2 + b / 2`` where ``(a + b) / 2`` overflows."""
+    ranked = sorted(values)
+    a, b = ranked[(len(ranked) - 1) // 2], ranked[len(ranked) // 2]
+    mid = (a + b) / 2
+    return a / 2 + b / 2 if math.isinf(mid) else mid
+
+
 def replay_batch_event(classing, cfg, order, u, epsilons=None):
     """Scalar reimplementation of one batch selection event with case
     order ``order`` and finish uniform ``u``, used only if several
@@ -2018,9 +2114,15 @@ def replay_batch_event(classing, cfg, order, u, epsilons=None):
         batch = order[start : start + b]
         means = {}
         for c in alive:
-            covered = [t for t in batch if classing.class_support[c, t] == 1.0]
+            # Python floats, which overflow to inf without a warning.
+            row, defined = classing.class_errors[c].tolist(), classing.class_support[c]
+            covered = [row[t] for t in batch if defined[t] == 1.0]
             if covered:
-                means[c] = sum(classing.class_errors[c, t] for t in covered) / len(covered)
+                means[c] = sum(covered) / len(covered)
+                if not math.isfinite(means[c]):
+                    # The sum overflowed: the library takes it again scaled
+                    # by a power of two, which is exact.
+                    means[c] = sum(e * 2.0**-600 for e in covered) / len(covered) * 2.0**600
         if not means:
             continue
         best = min(means.values())
@@ -2035,8 +2137,8 @@ def replay_batch_event(classing, cfg, order, u, epsilons=None):
             for c in alive:
                 if c in means:
                     spread.extend([means[c]] * int(classing.sizes[c]))
-            med = statistics.median(spread)
-            tau = statistics.median(sorted(abs(v - med) for v in spread))
+            med = safe_median(spread)
+            tau = safe_median([abs(v - med) for v in spread])
         alive = [c for c in alive if c in means and means[c] <= best + tau]
     if len(alive) == 1:
         return alive[0]
@@ -2070,6 +2172,19 @@ def assert_matches_replay(classing, cfg, src, n_events=200):
         for _ in range(n_events)
     ]
     np.testing.assert_array_equal(picks, expected)
+
+
+# Batch means whose sums overflow, on full and partial support.
+HUGE_REPLAYS = [
+    (SelectorConfig(method="batch_lexicase", batch_size=size, batch_threshold_mode=mode), errors)
+    for errors in ("huge", "huge-partial")
+    for size in (2, 3)
+    for mode in ("mad", "absolute")
+]
+HUGE_REPLAY_IDS = [
+    f"batch_lexicase-b{cfg.batch_size}-{cfg.batch_threshold_mode}-{errors}"
+    for cfg, errors in HUGE_REPLAYS
+]
 
 
 class TestBatchLexicase:
@@ -2118,6 +2233,14 @@ class TestBatchLexicase:
             support[:, 0] = 0.0
             support[~support.any(axis=1), 1] = 1.0
             return rng.integers(-4, 2, (9, 7)) * support, support
+        if errors.startswith("huge"):
+            # Batch sums overflow, though their means fit.
+            huge = rng.choice([-1e308, 1e308, 1.7e308], (9, 7))
+            if errors == "huge":
+                return huge, None
+            support = (rng.random((9, 7)) < 0.6).astype(float)
+            support[~support.any(axis=1), 0] = 1.0
+            return huge * support, support
         return rng.random((9, 7)) * 3.0, None
 
     @staticmethod
@@ -2154,6 +2277,7 @@ class TestBatchLexicase:
             (SelectorConfig(method="epsilon_lexicase"), "negative"),
             (SelectorConfig(method="batch_lexicase"), "negative"),
             (SelectorConfig(method="batch_lexicase", batch_size=2), "negative"),
+            *HUGE_REPLAYS,
         ],
         ids=[
             "batch_lexicase-continuous",
@@ -2165,6 +2289,7 @@ class TestBatchLexicase:
             "epsilon_lexicase-negative",
             "batch_lexicase-size1-negative",
             "batch_lexicase-negative",
+            *HUGE_REPLAY_IDS,
         ],
     )
     def test_filter_variants_match_scalar_replay(self, cfg, errors):
