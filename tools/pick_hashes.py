@@ -18,12 +18,16 @@ m // 3 keys, so 66 of the 200 columns are distinct.  Last come the
 ``huge`` cells: plain ``dalex`` on the ``continuous_all_distinct``
 4000x200 errors times 1e300, too large for the float32 screen, so the
 pass runs no screen and every event goes through the cascade, over
-several blocks.  The script prints one line per cell,
+several blocks.  The lexicase family closes the grid on both inputs
+that run it over several first-step blocks or deep filters: lexicase,
+epsilon-lexicase and every batch cell on each regime at 4000x200 with
+4000 events, and on the ``evolve`` population, whose converged
+duplicates tie on many cases.  The script prints one line per cell,
 ``regime seed method hash`` (the regime suffixed ``-4000`` for the
 multi-block cells), then ``total`` and a hash of every cell.  Running
 it on two checkouts and comparing the output shows which cells a change
 moved; a change that keeps picks bit-identical leaves every line as it
-was.  Not part of the test suite; it takes about 20 seconds.
+was.  Not part of the test suite; it takes about a minute.
 """
 
 from __future__ import annotations
@@ -83,6 +87,14 @@ def configs() -> dict[str, SelectorConfig]:
     return cells
 
 
+def filter_configs() -> dict[str, SelectorConfig]:
+    """The lexicase-family cells, by name."""
+    cells = configs()
+    for name in dalex_configs():
+        del cells[name]
+    return cells
+
+
 def main() -> None:
     total = hashlib.sha256()
     grids = [
@@ -91,6 +103,8 @@ def main() -> None:
         (N, ("evolve",), "", dalex_configs()),
         # Relaxed dalex standardizes the errors, which the screens then take.
         (WIDE_N, ("huge",), f"-{WIDE_N}", dalex_configs(relaxed_cells=(False,))),
+        (WIDE_N, WIDE_REGIMES, f"-{WIDE_N}", filter_configs()),
+        (N, ("evolve",), "", filter_configs()),
     ]
     for n, regimes, suffix, cells in grids:
         for regime in regimes:
