@@ -2501,6 +2501,172 @@ class TestFirstStep:
         assert peak < 4 * 8 * budget
 
 
+def per_block_filter_picks(classing, n_events, cfg, rng):
+    """``_filter_events``' picks for a lexicase-family ``cfg`` with each
+    first-step block's events filtered by a ``_filter_pairs`` run of their
+    own: the block loop as it was before contested events pooled across
+    blocks."""
+    tolerance, batch_size = None, 1
+    if cfg.method == "epsilon_lexicase":
+        tolerance = epsilon_for_cases(classing)
+    elif cfg.method == "batch_lexicase":
+        mode = cfg.batch_threshold_mode
+        tolerance = "mad" if mode == "mad" else cfg.batch_threshold_value
+        batch_size = cfg.batch_size
+    k, m = classing.class_errors.shape
+    first, step = selectors._case_major_steps(classing, tolerance)
+    batch_size = min(batch_size, m)
+    width = max(k * batch_size, classing.n)
+    lookup = batch_size == 1 and n_events >= m
+    if lookup:
+        every = np.arange(k, dtype=np.int32)
+        elite, elite_counts = step(np.arange(m)[:, None], np.full(m, k), np.tile(every, m))
+        elite_heads = np.cumsum(elite_counts) - elite_counts
+        width = -(-elite.size // m)
+    block = max(1, selectors._PAIR_BUDGET // max(width, m))
+    order_gen, finish_gen = rng.generator(EVENT_STREAM), rng.generator(FINISH_STREAM)
+    picks = np.empty(n_events, dtype=np.int64)
+    for lo in range(0, n_events, block):
+        hi = min(lo + block, n_events)
+        orders = order_gen.permuted(np.tile(np.arange(m), (hi - lo, 1)), axis=1)
+        u = finish_gen.random(hi - lo)
+        if lookup:
+            counts = elite_counts[orders[:, 0]]
+            classes = elite[selectors._segment_positions(elite_heads[orders[:, 0]], counts)]
+        else:
+            classes, counts = first(orders[:, :batch_size])
+        lone, events, counts, classes = selectors._filter_pairs(
+            step, batch_size, orders[:, batch_size:], counts, classes
+        )
+        lone[events] = selectors._finish_events(counts, classes, classing.sizes, u[events])
+        picks[lo:hi] = lone
+    return picks
+
+
+def pooled_filter_matrices():
+    """Errors and support of the pooled filter's test grid, by name: each
+    case has a few best classes, so most first steps settle or leave a
+    few pairs, and blocks' contested events pool."""
+    rng = np.random.default_rng(46)
+    ties = rng.integers(0, 120, (300, 40)).astype(float)
+    support = (rng.random(ties.shape) < 0.6).astype(float)
+    support[~support.any(axis=1), 0] = 1.0
+    evolve = {}
+    for m in (40, 12):
+        problem = SyntheticProblem(kind="discrete_vector", m=m, seed=3)
+        gen = RandomSource(3).generator(0)
+        evolve[m] = problem.evaluate([problem.initial_genome(gen) for _ in range(300)])
+    return {
+        "full": (ties, None),
+        "partial": (ties * support, support),
+        # 300 rows of 150 distinct ones.
+        "duplicates": (ties[rng.integers(0, 150, 300)], None),
+        # Initial genomes of an evolve run: heavy ties, and duplicates.
+        "evolve": evolve[40],
+        # With 12 cases, some batch filters keep several classes to the
+        # end, and pooled events draw their finish.
+        "evolve-short": evolve[12],
+    }
+
+
+POOLED_FILTER_CONFIGS = {
+    "lexicase": SelectorConfig(method="lexicase"),
+    "epsilon_lexicase": SelectorConfig(method="epsilon_lexicase"),
+    **{
+        f"batch-b{size}-{mode}": SelectorConfig(
+            method="batch_lexicase", batch_size=size, batch_threshold_mode=mode
+        )
+        for size in (2, 3)
+        for mode in ("mad", "absolute")
+    },
+}
+
+
+class TestPooledFilter:
+    """The events a block's first step leaves contested pool across
+    blocks, and every pick equals the one its block's own filter run
+    gives."""
+
+    @staticmethod
+    def pooled_pass(classing, cfg, n_events, seed, monkeypatch):
+        """The picks of one pass, the number of pool entries each filter
+        run takes, and the event count of each first-step block."""
+        pools, blocks = [], []
+        filter_pool, first_step = selectors._filter_pool, selectors._first_step
+
+        def recorded_pool(step, batch_size, sizes, pool, picks):
+            pools.append(len(pool))
+            return filter_pool(step, batch_size, sizes, pool, picks)
+
+        def recorded_first(*args):
+            blocks.append(len(args[-1]))
+            return first_step(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(selectors, "_filter_pool", recorded_pool)
+            patch.setattr(selectors, "_first_step", recorded_first)
+            picks = selectors.select_classes(classing, n_events, cfg, RandomSource(seed))
+        return picks, pools, blocks
+
+    @pytest.mark.parametrize("name", list(pooled_filter_matrices()))
+    @pytest.mark.parametrize("method", list(POOLED_FILTER_CONFIGS))
+    @pytest.mark.parametrize("budget", [1 << 11, 1 << 18])
+    def test_equals_per_block_filter(self, name, method, budget, monkeypatch):
+        classing = build_classes(*pooled_filter_matrices()[name])
+        cfg = POOLED_FILTER_CONFIGS[method]
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", budget)
+        # 30 events take first steps of their own; 200 look up the elites.
+        for n_events in (30, 200):
+            picks, _, _ = self.pooled_pass(classing, cfg, n_events, 47, monkeypatch)
+            expected = per_block_filter_picks(classing, n_events, cfg, RandomSource(47))
+            np.testing.assert_array_equal(picks, expected, err_msg=f"{n_events}")
+
+    @pytest.mark.parametrize(
+        "name, method, n_events",
+        [
+            ("evolve", "lexicase", 39),
+            ("evolve", "epsilon_lexicase", 39),
+            ("evolve", "batch-b2-mad", 200),
+            ("duplicates", "batch-b3-mad", 200),
+            ("partial", "batch-b2-absolute", 200),
+        ],
+    )
+    def test_pools_span_blocks(self, name, method, n_events, monkeypatch):
+        # A small budget makes blocks of a few events whose contested pairs
+        # stay below the cap, so a pool holds several blocks and one pass
+        # runs several such pools.
+        classing = build_classes(*pooled_filter_matrices()[name])
+        cfg = POOLED_FILTER_CONFIGS[method]
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", 1 << 11)
+        picks, pools, blocks = self.pooled_pass(classing, cfg, n_events, 48, monkeypatch)
+        assert sum(size >= 2 for size in pools) >= 2
+        assert len(blocks) > len(pools)
+        expected = per_block_filter_picks(classing, n_events, cfg, RandomSource(48))
+        np.testing.assert_array_equal(picks, expected)
+
+    def test_peak_memory_grows_with_block_not_event_count(self, monkeypatch):
+        # Initial evolve genomes: batch first steps leave a few pairs each,
+        # so every block's contested events pool, and only the pool's caps
+        # keep its pairs and case orders from growing with the event count.
+        # A small budget keeps the first steps' own memory small beside it.
+        problem = SyntheticProblem(kind="discrete_vector", m=200, seed=5)
+        gen = RandomSource(5).generator(0)
+        classing = build_classes(
+            *problem.evaluate([problem.initial_genome(gen) for _ in range(500)])
+        )
+        cfg = SelectorConfig(method="batch_lexicase", batch_size=2)
+        monkeypatch.setattr(selectors, "_PAIR_BUDGET", 1 << 14)
+        peaks = []
+        for n_events in (2000, 8000):
+            tracemalloc.start()
+            try:
+                batch_lexicase_select(classing, n_events, cfg, RandomSource(49))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+
 class TestSelectParents:
     def test_indices_are_individuals(self):
         errors = [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
