@@ -550,9 +550,11 @@ def _pick_marked(marked: np.ndarray, u: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _agreed_cases(tied: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
+def _agreed_cases(tied: np.ndarray, class_errors) -> np.ndarray:
     """Per row of ``tied`` (each marking at least two classes), the cases on
     which every marked class has the same error as the row's first one.
+    ``class_errors`` gathers the class rows (an array or a
+    :class:`_ClassRows`).
 
     Rows are compared as (row, class) pairs, whole rows at a time, with
     about ``_BLOCK_ENTRIES`` gathered errors per slice.  A pair's
@@ -565,15 +567,18 @@ def _agreed_cases(tied: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     rows, cols = np.divmod(np.flatnonzero(tied), k)
     counts = np.bincount(rows, minlength=n)
     starts = np.cumsum(counts) - counts
-    first = np.repeat(cols[starts], counts)
     differs = np.empty((n, -(-m // 8)), dtype=np.uint8)
     budget = max(1, _BLOCK_ENTRIES // m)
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + budget, side="right")))
         a, b = starts[lo], starts[hi - 1] + counts[hi - 1]
-        pairs = np.packbits(class_errors[cols[a:b]] != class_errors[first[a:b]], axis=1)
-        differs[lo:hi] = np.bitwise_or.reduceat(pairs, starts[lo:hi] - a, axis=0)
+        gathered = class_errors[cols[a:b]]
+        # Each row's first class is one of its gathered rows.
+        heads = starts[lo:hi] - a
+        first = np.repeat(gathered[heads], counts[lo:hi], axis=0)
+        pairs = np.packbits(gathered != first, axis=1)
+        differs[lo:hi] = np.bitwise_or.reduceat(pairs, heads, axis=0)
         lo = hi
     return np.unpackbits(differs, axis=1, count=m) == 0
 
@@ -626,7 +631,7 @@ class _Screen:
     errors, the elite bitsets, and each case's head for
     :func:`_top_decide`'s class-wide pass."""
 
-    errors_t: np.ndarray  # the shifted errors, case major (a view)
+    errors_t: np.ndarray  # the shifted errors, one C-contiguous row per case
     unique_min: np.ndarray  # which cases have a unique best class
     rel: float  # the float32 screen's relative term
     absolute: float  # and its absolute term
@@ -641,8 +646,10 @@ class _Screen:
 
     @cached_property
     def errors32(self) -> np.ndarray:
-        """The float32 copy for the screen's products, made once a pass."""
-        return self.errors_t.astype(np.float32)
+        """The float32 copy for the screen's products, made once a pass:
+        class major (Fortran-ordered as (m, k)), on which the float32
+        product runs a few percent faster than on case rows."""
+        return np.asfortranarray(self.errors_t, dtype=np.float32)
 
     @cached_property
     def elite(self) -> np.ndarray:
@@ -699,44 +706,55 @@ def _row_popcount(sets: np.ndarray) -> np.ndarray:
     """The set bits of each row of the uint64 words ``sets`` (a set's
     words run along the last axis)."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(sets).sum(axis=-1)
+        counts = np.bitwise_count(sets)
+        # The uint8 counts sum faster into a uint16 accumulator, which
+        # holds any row of fewer than 2^16 bits.
+        narrow = sets.shape[-1] * 64 < 1 << 16
+        return counts.sum(axis=-1, dtype=np.uint16 if narrow else None)
     # NumPy 1.x has no bit count ufunc; the SWAR count is several times slower.
     return _swar_popcount(sets).sum(axis=-1)
 
 
+# Per-case set-up reads the case-major errors in chunks of about this
+# many entries, so its temporaries stay small whatever the matrix.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _case_chunks(m: int, k: int):
+    """(start, stop) runs of the m cases of about ``_CHUNK_ENTRIES``
+    entries of k classes each."""
+    rows = max(1, _CHUNK_ENTRIES // k)
+    return ((lo, min(lo + rows, m)) for lo in range(0, m, rows))
+
+
 def _least_nonzero(errors: np.ndarray) -> np.ndarray:
-    """Each column's least nonzero entry of the non-negative ``errors``,
-    inf where there is none.
+    """Each row's least nonzero entry of the non-negative ``errors``
+    (+inf counts as an entry), inf where there is none.
 
     Non-negative floats order as their bit patterns, and one less than
     the pattern of +0 is the largest pattern (-0's is the next), so a
-    minimum over the patterns minus one skips the zeros.  Rows go in
-    chunks of about 2^16 entries through one buffer; this is several
-    times faster than a masked minimum on tied columns and, unlike a
-    masked copy, allocates no matrix-sized temporary.  Either one-line
-    form makes whole ``dalex`` passes measurably slower.
+    minimum over the patterns minus one skips the zeros.  On tied rows
+    this is several times faster than a masked minimum.  Callers pass
+    case rows a chunk at a time (:func:`_case_chunks`), so its one
+    temporary stays small.
     """
-    bits = errors.view(np.uint64)
-    rows = max(1, (1 << 16) // bits.shape[1])
-    buffer = np.empty((min(rows, bits.shape[0]), bits.shape[1]), dtype=np.uint64)
-    least = np.full(bits.shape[1], np.iinfo(np.uint64).max, dtype=np.uint64)
-    for lo in range(0, bits.shape[0], rows):
-        chunk = np.subtract(bits[lo : lo + rows], 1, out=buffer[: min(rows, bits.shape[0] - lo)])
-        np.minimum(least, chunk.min(axis=0), out=least)
-    least = (least + 1).view(np.float64)
+    least = (errors.view(np.uint64) - np.uint64(1)).min(axis=1)
+    least = (least + np.uint64(1)).view(np.float64)
     least[least == 0] = np.inf
     return least
 
 
 def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
-    """The per-pass inputs of the screens for the shifted ``class_errors``.
-    None, and a float64 pass, when the errors do not fit float32 or m is
-    too large for the bound.  On full score rows the lexicographic
-    screen (:func:`_lex_screen`) walks every event its gate admits; on
-    scores drawn in parts :func:`_top_decide` tries the events whose
-    heaviest case has a unique best class.  The float32 screen then
-    takes the events left, except those walked from a tied heaviest
-    case, on which most classes would stay candidates.
+    """The per-pass inputs of the screens for the shifted ``class_errors``,
+    the (k, m) view of a case-major array (:func:`_shifted_errors`),
+    read a chunk of case rows at a time.  None, and a float64 pass, when
+    the errors do not fit float32 or m is too large for the bound.  On
+    full score rows the lexicographic screen (:func:`_lex_screen`) walks
+    every event its gate admits; on scores drawn in parts
+    :func:`_top_decide` tries the events whose heaviest case has a
+    unique best class.  The float32 screen then takes the events left,
+    except those walked from a tied heaviest case, on which most classes
+    would stay candidates.
 
     Let F_c be class c's exact fitness under the float64 weights, and
     g_c its float32 fitness.  Casting the weights and errors and summing
@@ -748,14 +766,24 @@ def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
     float64 fitness lies within a relative gamma_m of F_c, and ties
     within ``slack``.  So every class of the float64 tie set has
     g_c <= rel * min g + absolute, with ``rel`` and ``absolute`` below,
-    whatever order the terms are summed in.
+    whatever order the terms are summed in.  The class sums are taken
+    case row by case row; every bound covers any order of a sum.
     """
-    m = class_errors.shape[1]
-    top = float(class_errors.max(initial=0.0))
+    errors_t = class_errors.T
+    m, k = errors_t.shape
+    top = float(errors_t.max(initial=0.0))
     if top > _F32_ROOM or (m + 4) * 2.0**-24 >= 0.5:
         return None
-    zero = class_errors == 0
-    elite_sizes = np.count_nonzero(zero, axis=0)
+    elite_sizes, best = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    runner_up, sums = np.empty(m), np.zeros(k)
+    for lo, hi in _case_chunks(m, k):
+        rows = errors_t[lo:hi]
+        zero = rows == 0
+        elite_sizes[lo:hi] = np.count_nonzero(zero, axis=1)
+        # Where a case's best class is unique, it is the one zero's column.
+        best[lo:hi] = zero.argmax(axis=1)
+        runner_up[lo:hi] = _least_nonzero(rows)
+        sums += rows.sum(axis=0)
     g32, g64 = _gamma(m + 4, 2.0**-24), _gamma(m, 2.0**-53)
     slack = 1.0 + 2.0 * m * np.finfo(np.float64).eps
     rel = slack * (1 + g32) / (1 - g32) * (1 + g64) / (1 - g64)
@@ -772,14 +800,13 @@ def _screen_setup(class_errors: np.ndarray) -> _Screen | None:
     # and |z| < 709 wherever a weight is not flushed.
     g_lex = _gamma(3 * m + 4 * _LEX_DEPTH + 16 + 3 * 709, 2.0**-53)
     return _Screen(
-        errors_t=class_errors.T,
+        errors_t=errors_t,
         unique_min=elite_sizes == 1,
         rel=rel,
         absolute=(rel + 1) * m * (_TINY32 * top + 2.0**-148),
-        # Where a case's best class is unique, it is the one zero's row.
-        best=zero.argmax(axis=0),
-        runner_up=_least_nonzero(class_errors),
-        sums=class_errors.sum(axis=1),
+        best=best,
+        runner_up=runner_up,
+        sums=sums,
         top_factor=slack * (1 + g) / (1 - g),
         top_absolute=m * m * 2.0**-1072,
         most=top,
@@ -1024,7 +1051,8 @@ def _lex_screen(scores: np.ndarray, screen) -> tuple[np.ndarray, np.ndarray, np.
         owner, classes = _set_bits(np.concatenate(missed_sets))
         events = missed[owner]
         for t in range(int(start.min()), depth):
-            e = errors_t[cases[events, t], classes]
+            # A flat gather from the C-contiguous case rows.
+            e = errors_t.take(cases[events, t] * errors_t.shape[1] + classes)
             # Events whose filter starts later keep every pair.
             e[start[events] > t] = 0.0
             low = np.full(rows.size, np.inf)
@@ -1079,7 +1107,7 @@ def _screen_candidates(weights: np.ndarray, screen) -> tuple[np.ndarray, np.ndar
     return fitness <= bound[:, None], best
 
 
-def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
+def _cascade(scores: np.ndarray, class_errors: np.ndarray, class_rows) -> np.ndarray:
     """Mark, per event, the classes of least softmax-weighted mean error,
     faithful to the real-valued computation across the full pressure
     range.
@@ -1121,6 +1149,10 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     only where a class sits within those ulps of the slack's edge.  A
     lone row is weighed beside a copy of itself: numpy computes a
     one-row product as a matrix-vector product (see :func:`_event_blocks`).
+
+    The product takes the shifted ``class_errors`` whole; the later
+    rounds gather rows of ``class_rows``, the same errors by class
+    index (a :class:`_ClassRows`, or the array itself).
     """
     n = scores.shape[0]
     slack = 1.0 + 2.0 * scores.shape[1] * np.finfo(np.float64).eps
@@ -1135,7 +1167,7 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
     usable = np.ones((contested.size, scores.shape[1]), dtype=bool)
     live = np.arange(contested.size)
     while live.size:
-        dropped = _agreed_cases(survivors[live], class_errors) & usable[live]
+        dropped = _agreed_cases(survivors[live], class_rows) & usable[live]
         usable[live] &= ~dropped
         # Events keep cascading only while the round removed something
         # and a case is left to weigh.  Running out of cases means the
@@ -1147,7 +1179,7 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
         z = _flushed_softmax(np.where(usable[live], scores[contested[live]], -np.inf))
         # Only the survivors are weighed, one (event, class) pair at a time.
         rows, classes = np.divmod(np.flatnonzero(survivors[live]), survivors.shape[1])
-        fitness = _pair_fitness(z, rows, classes, class_errors)
+        fitness = _pair_fitness(z, rows, classes, class_rows)
         low = np.full(live.size, np.inf)
         np.minimum.at(low, rows, fitness)
         kept = fitness <= low[rows] * slack
@@ -1161,8 +1193,10 @@ def _cascade(scores: np.ndarray, class_errors: np.ndarray) -> np.ndarray:
 
 def _pair_fitness(weights, rows, classes, class_errors) -> np.ndarray:
     """The fitness of class ``classes[i]`` under weight row ``rows[i]``,
-    for every i, with about ``_BLOCK_ENTRIES`` gathered entries a slice.
-    Each is one row's sum, so it does not depend on the others."""
+    for every i, with about ``_BLOCK_ENTRIES`` gathered entries a slice;
+    ``class_errors`` gathers the class rows (an array or a
+    :class:`_ClassRows`).  Each is one row's sum, so it does not depend
+    on the others."""
     out = np.empty(rows.size)
     step = max(1, _BLOCK_ENTRIES // weights.shape[1])
     for a in range(0, rows.size, step):
@@ -1171,7 +1205,31 @@ def _pair_fitness(weights, rows, classes, class_errors) -> np.ndarray:
     return out
 
 
-def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
+@dataclass
+class _ClassRows:
+    """Rows of the shifted errors (:func:`_shifted_errors`) by class
+    index, for the cascade: whole C-ordered rows of the unshifted
+    ``errors``, scaled and shifted on the way, where the case-major
+    shift would read each row strided.  ``e * scale - low`` has the bits
+    of the shift's own entry."""
+
+    errors: np.ndarray  # the unshifted (k, m) class errors, C-ordered
+    scale: float  # 1, or 0.25 where the shift scales
+    low: np.ndarray  # each case's shift, scaled
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.errors.shape
+
+    def __getitem__(self, classes: np.ndarray) -> np.ndarray:
+        rows = self.errors[classes]
+        if self.scale != 1.0:
+            rows *= self.scale
+        rows -= self.low
+        return rows
+
+
+def _shifted_errors(class_errors: np.ndarray) -> tuple[np.ndarray, _ClassRows]:
     """Shift each case so its best class sits at zero.
 
     The shift adds the same constant to every class's fitness within an
@@ -1180,14 +1238,23 @@ def _shifted_errors(class_errors: np.ndarray) -> np.ndarray:
     needed to separate the rest.  When some case's range overflows, all
     errors are first scaled by 0.25, a power of two that keeps the order
     of every weighted sum.
+
+    The shift is written case major, one C-contiguous (m, k) array, and
+    returned as its (k, m) transpose: the screens read it a case row at
+    a time, and the cascade's product takes it as it is.  The cascade's
+    class rows come from the returned :class:`_ClassRows` instead, which
+    shifts rows of ``class_errors`` itself, with the same bits.
     """
     low = class_errors.min(axis=0)
     with np.errstate(over="ignore"):
         spread = class_errors.max(axis=0) - low
+    scale, scaled = 1.0, class_errors
     if not np.isfinite(spread).all():
-        class_errors = class_errors * 0.25
+        scale, scaled = 0.25, class_errors * 0.25
         low = low * 0.25
-    return class_errors - low
+    shifted = np.empty(class_errors.shape[::-1])
+    np.subtract(scaled.T, low[:, None], out=shifted)
+    return shifted.T, _ClassRows(class_errors, scale, low)
 
 
 # Repeated error columns are looked for on this many class rows first:
@@ -1209,8 +1276,10 @@ class _Columns:
 
 
 def _column_groups(class_errors: np.ndarray) -> _Columns | None:
-    """The groups of identical columns of ``class_errors``, or None when
-    every column is distinct.
+    """The groups of identical columns of ``class_errors``, the (k, m)
+    view of a case-major array (:func:`_shifted_errors`), or None when
+    every column is distinct.  The whole columns are grouped as the
+    array's C-contiguous case rows, without a copy.
 
     Distinct values on the first class row prove the columns distinct
     at the cost of a sort, and otherwise a grouping of the first
@@ -1227,7 +1296,7 @@ def _column_groups(class_errors: np.ndarray) -> _Columns | None:
         return None
     if _group_rows(np.ascontiguousarray(class_errors[:_FINGERPRINT_ROWS].T))[1] is None:
         return None
-    group, firsts = _group_rows(np.ascontiguousarray(class_errors.T))
+    group, firsts = _group_rows(class_errors.T)
     if firsts is None:
         return None
     counts = np.bincount(group)
@@ -1310,7 +1379,10 @@ class _PartialScreen:
 def _partial_setup(class_errors: np.ndarray, class_support: np.ndarray) -> _PartialScreen | None:
     """The inputs of :func:`_partial_screen` for a partial-support pass,
     or None when some error is negative: its bounds need non-negative
-    terms.
+    terms.  The bitsets, each case's least nonzero error and each
+    class's least defined error come from the case-major errors with
+    +inf at every undefined entry (:func:`_case_errors`), built a chunk
+    of cases at a time, so no matrix-sized temporary is made.
 
     ``factor`` is (1 + g) / (1 - g) with g = gamma_{4m + 4 depth + 32},
     and covers the rounding of both sides.  ``weighted_fitness`` sums m
@@ -1324,20 +1396,32 @@ def _partial_setup(class_errors: np.ndarray, class_support: np.ndarray) -> _Part
     the class's denominator where it is used; each bound also moves by
     2^-1073 for the divisions' own underflow.
     """
-    if class_errors.min() < 0:
-        return None
     k, m = class_errors.shape
+    words = -(-k // 64)
+    zeros, defined = np.empty((m, words), dtype=np.uint64), np.empty((m, words), dtype=np.uint64)
+    least, fewest = np.empty(m), np.full(k, np.inf)
+    # The per-case and per-class reductions read the case-major +inf
+    # layout the lexicase family filters on, a chunk of cases at a time.
+    for lo, hi in _case_chunks(m, k):
+        rows = _case_errors(class_errors, class_support, lo, hi)
+        known = rows != np.inf
+        zeros[lo:hi] = _bitsets((rows == 0) | ~known)
+        defined[lo:hi] = _bitsets(known)
+        least[lo:hi] = _least_nonzero(rows)
+        np.minimum(fewest, rows.min(axis=0), out=fewest)
+    # Undefined entries hold 0, so only a defined error can be negative.
+    if (fewest < 0).any():
+        return None
     depth = min(_PARTIAL_DEPTH, m)
-    defined = class_support == 1.0
     g = _gamma(4 * m + 4 * depth + 32, 2.0**-53)
     return _PartialScreen(
         errors=class_errors.ravel(),
         support=class_support.ravel(),
-        zeros=_bitsets(class_errors.T == 0),
-        defined=_bitsets(defined.T),
-        least=_least_nonzero(class_errors),
+        zeros=zeros,
+        defined=defined,
+        least=least,
         most=class_errors.max(axis=1),
-        fewest=np.min(class_errors, axis=1, where=defined, initial=np.inf),
+        fewest=fewest,
         factor=(1 + g) / (1 - g),
         absolute=(m + depth + 4) * 2.0**-1073,
     )
@@ -1551,9 +1635,10 @@ def dalex_select(
             raise ShapeError("importance contains non-finite entries")
     screen = columns = None
     if full_support:
-        class_errors = _shifted_errors(class_errors)
+        class_errors, class_rows = _shifted_errors(class_errors)
         columns = _column_groups(class_errors)
-        merged = class_errors if columns is None else class_errors[:, columns.firsts]
+        # Case rows of the case-major shift, so the merge stays case major.
+        merged = class_errors if columns is None else class_errors.T[columns.firsts].T
         screen = _screen_setup(merged)
     elif class_errors is not classing.class_errors:
         classing = replace(classing, class_errors=class_errors)
@@ -1576,7 +1661,9 @@ def dalex_select(
     partial = None if full_support else _partial_pilot(classing, importance)
     if columns is not None:
         # Full rows on repeated columns: each group weighs as one case.
-        class_errors = merged
+        # Merged rows are gathered from the merged errors themselves: a
+        # two-step gather from the unshifted rows costs more.
+        class_errors = class_rows = merged
         importance = _merged_scores(importance, columns)
     picks = np.empty(n_events, dtype=np.intp)
     blocks = list(_event_blocks(n_events, classing.k))
@@ -1637,7 +1724,7 @@ def dalex_select(
         events = pending[a:b]
         if full_support:
             scores = pending_scores[a:b] if in_parts else importance[events]
-            picks[events] = _pick_marked(_cascade(scores, class_errors), u[events])
+            picks[events] = _pick_marked(_cascade(scores, class_errors, class_rows), u[events])
         else:
             # The softmax works row by row, so these are the block's weights.
             # Every index is valid, and "clip" gathers straight into the
@@ -2018,22 +2105,33 @@ def _finish_events(
     return classes[heads + np.minimum(slot, counts - 1)]
 
 
-def _case_major_steps(
-    classing: EquivalenceClassing, tolerance: float | np.ndarray | str | None = None
-) -> tuple[Callable, Callable]:
-    """:func:`_first_step` and :func:`_filter_step` bound to one case-major
-    copy of the classing's errors with +inf at every undefined entry: an
-    event's first step, over every class, and the steps after it, as
-    :func:`_filter_pairs` takes them."""
-    case_errors = classing.class_errors.T.copy()
-    undefined = not classing.full_support
-    if undefined:
+def _case_errors(
+    class_errors: np.ndarray, class_support: np.ndarray | None, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Cases ``lo:hi`` of the class errors, case major (one C-contiguous
+    row per case), with +inf at every entry where the class is
+    undefined; ``class_support`` is None on full support."""
+    rows = class_errors[:, lo:hi].T.copy()
+    if class_support is not None:
         # Errors are exactly 0 where support is 0, so dividing by the
         # support keeps every defined error and puts NaN (0 / 0) at each
         # undefined entry, which fmin turns into +inf.
         with np.errstate(invalid="ignore"):
-            np.divide(case_errors, classing.class_support.T, out=case_errors)
-        np.fmin(case_errors, np.inf, out=case_errors)
+            np.divide(rows, class_support[:, lo:hi].T, out=rows)
+        np.fmin(rows, np.inf, out=rows)
+    return rows
+
+
+def _case_major_steps(
+    classing: EquivalenceClassing, tolerance: float | np.ndarray | str | None = None
+) -> tuple[Callable, Callable]:
+    """:func:`_first_step` and :func:`_filter_step` bound to one case-major
+    copy of the classing's errors with +inf at every undefined entry
+    (:func:`_case_errors`, over every case): an event's first step, over
+    every class, and the steps after it, as :func:`_filter_pairs` takes
+    them."""
+    undefined = not classing.full_support
+    case_errors = _case_errors(classing.class_errors, classing.class_support if undefined else None)
     members = classing.sizes if classing.k < classing.n else None
     return (
         partial(_first_step, case_errors, undefined, members, tolerance),

@@ -527,7 +527,7 @@ class TestDalexSelect:
         errors = rng.uniform(1.0, 2.0, (8, 12)) * scale
         errors[0] = scale / 2
         classing = build_classes(errors)
-        shifted = selectors._shifted_errors(classing.class_errors)
+        shifted = selectors._shifted_errors(classing.class_errors)[0]
         assert selectors._screen_setup(shifted) is None
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
@@ -579,12 +579,12 @@ def float64_cascade_picks(classing, n_events, cfg, rng):
     errors = classing.class_errors
     if cfg.relaxed:
         errors = standardize_per_case(errors, classing.sizes)
-    errors = selectors._shifted_errors(errors)
+    errors, class_rows = selectors._shifted_errors(errors)
     importance = dalex_scores(errors, n_events, cfg, rng)
     u = rng.generator(TIEBREAK_STREAM).random(n_events)
     picks = np.empty(n_events, dtype=np.intp)
     for lo, hi in selectors._event_blocks(n_events, classing.k):
-        marked = selectors._cascade(importance[lo:hi], errors)
+        marked = selectors._cascade(importance[lo:hi], errors, class_rows)
         picks[lo:hi] = selectors._pick_marked(marked, u[lo:hi])
     return picks
 
@@ -616,7 +616,7 @@ class TestFloat32Screen:
                     errors = classing.class_errors
                     if relaxed:
                         errors = standardize_per_case(errors, classing.sizes)
-                    screen = selectors._screen_setup(selectors._shifted_errors(errors))
+                    screen = selectors._screen_setup(selectors._shifted_errors(errors)[0])
                     importance = sample_importance(n_events, classing.m, cfg, RandomSource(46))
                     weights = selectors._flushed_softmax(importance)
                     decided += float32_decided(weights, screen).size
@@ -624,7 +624,7 @@ class TestFloat32Screen:
 
     def test_one_block_holds_both_routes(self):
         classing = build_classes(screen_matrices()["mixed"])
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         (lo, hi), *_ = selectors._event_blocks(4000, classing.k)
         importance = sample_importance(
             4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(47)
@@ -640,13 +640,13 @@ class TestFloat32Screen:
         errors = rng.random((2500, 40))
         errors[:, 0] = rng.integers(0, 3, 2500)
         classing = build_classes(errors)
-        shifted = selectors._shifted_errors(classing.class_errors)
+        shifted = selectors._shifted_errors(classing.class_errors)[0]
         remainders = set()
         cascade = selectors._cascade
 
-        def recorded(scores, class_errors):
+        def recorded(scores, *errors):
             remainders.add(scores.shape[0])
-            return cascade(scores, class_errors)
+            return cascade(scores, *errors)
 
         for n_events in (12, 60, 200, 1000):
             for pressure in (2.0, 200.0, 2000.0):
@@ -683,7 +683,7 @@ class TestFloat32Screen:
         np.fill_diagonal(specialists, 0.0)
         contenders = 1.0 + 1e-10 * rng.integers(1, 1000, (q, m))
         classing = build_classes(np.vstack([contenders, specialists]))
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         for pressure in (5.0, 10.0, 20.0):
             cfg = SelectorConfig("dalex", pressure=pressure)
             picks = dalex_select(classing, 600, cfg, RandomSource(56))
@@ -732,7 +732,7 @@ class TestFloat32Screen:
         matrices.append(rng.random((40, 10)) * 1e-39)
         matrices.append(rng.random((40, 12)) * np.logspace(-30, 30, 12))
         for errors in matrices:
-            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)[0]
             screen = selectors._screen_setup(shifted)
             assert screen is not None
             slack = 1.0 + 2.0 * shifted.shape[1] * np.finfo(np.float64).eps
@@ -811,7 +811,7 @@ class TestTopScreen:
         # alone.
         decided_any = 0
         for errors in self.matrices():
-            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            shifted, class_rows = selectors._shifted_errors(build_classes(errors).class_errors)
             screen = selectors._screen_setup(shifted)
             assert screen is not None
             m, n = shifted.shape[1], 400
@@ -821,7 +821,7 @@ class TestTopScreen:
             for seed in (66, 67):
                 uniforms = selectors._RestStream(RandomSource(seed), m).draw(np.arange(n))
                 scores = selectors._complete_scores(cases, values, level, uniforms, pressure)
-                marked = selectors._cascade(scores, shifted)
+                marked = selectors._cascade(scores, shifted, class_rows)
                 expected = np.zeros_like(marked[rows])
                 expected[np.arange(rows.size), classes] = True
                 np.testing.assert_array_equal(marked[rows], expected)
@@ -830,20 +830,20 @@ class TestTopScreen:
     @pytest.mark.parametrize("distribution", ["normal", "uniform", "shuffled_range"])
     def test_full_rows_agree_with_the_float64_round(self, distribution):
         for errors in self.matrices():
-            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            shifted, class_rows = selectors._shifted_errors(build_classes(errors).class_errors)
             screen = selectors._screen_setup(shifted)
             for pressure in (20.0, 2000.0):
                 cfg = SelectorConfig("dalex", pressure=pressure, distribution=distribution)
                 scores = sample_importance(300, shifted.shape[1], cfg, RandomSource(68))
                 rows, classes, _ = selectors._lex_screen(scores, screen)
-                marked = selectors._cascade(scores, shifted)
+                marked = selectors._cascade(scores, shifted, class_rows)
                 assert marked[rows].sum(axis=1).max(initial=1) == 1
                 np.testing.assert_array_equal(marked[rows, classes], True)
 
     def assert_decisions_match_float64_round(self, errors, scores):
-        shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+        shifted, class_rows = selectors._shifted_errors(build_classes(errors).class_errors)
         rows, classes, _ = selectors._lex_screen(scores, selectors._screen_setup(shifted))
-        marked = selectors._cascade(scores, shifted)
+        marked = selectors._cascade(scores, shifted, class_rows)
         expected = np.zeros_like(marked[rows])
         expected[np.arange(rows.size), classes] = True
         np.testing.assert_array_equal(marked[rows], expected)
@@ -893,7 +893,7 @@ class TestTopScreen:
 
         monkeypatch.setattr(selectors, "_class_wide", recorded)
         for errors in self.head_matrices():
-            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)[0]
             screen = selectors._screen_setup(shifted)
             m, k = shifted.shape[1], shifted.shape[0]
             # Every odd class's error sum overflows.
@@ -925,7 +925,7 @@ class TestTopScreen:
 
     def test_heads_hold_the_least_errors_of_each_case(self):
         rng = np.random.default_rng(80)
-        shifted = selectors._shifted_errors(rng.integers(0, 40, (300, 20)).astype(float))
+        shifted = selectors._shifted_errors(rng.integers(0, 40, (300, 20)).astype(float))[0]
         screen = selectors._screen_setup(shifted)
         cases = rng.integers(0, 20, 50)
         heads, rest = screen.heads(cases)
@@ -940,7 +940,7 @@ class TestTopScreen:
 
     def test_most_distinct_events_skip_the_rest_of_their_scores(self):
         errors = np.argsort(np.random.default_rng(69).random((1000, 200)), axis=0)
-        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)
+        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)[0]
         screen = selectors._screen_setup(shifted)
         cases, values, _ = selectors._top_scores(1000, 200, 200.0, RandomSource(70))
         rows, _ = selectors._top_decide(cases, values, screen)
@@ -949,7 +949,7 @@ class TestTopScreen:
     def test_picks_do_not_depend_on_event_count_or_blocks(self, monkeypatch):
         classing = build_classes(screen_matrices()["mixed"])
         cfg = SelectorConfig("dalex", pressure=200.0)
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         assert selectors._decisive_top_scores(1, classing.m, 200.0, RandomSource(71), screen)
         full = dalex_select(classing, 3 * 420 + 2, cfg, RandomSource(71))
         monkeypatch.setattr(selectors, "_BLOCK_ENTRIES", 420 * classing.k)
@@ -962,7 +962,7 @@ class TestTopScreen:
         in_parts = set()
         for name, errors in screen_matrices().items():
             classing = build_classes(errors)
-            shifted = selectors._shifted_errors(classing.class_errors)
+            shifted = selectors._shifted_errors(classing.class_errors)[0]
             for pressure in (2.0, 200.0):
                 cfg = SelectorConfig("dalex", pressure=pressure)
                 scores = dalex_scores(shifted, 500, cfg, RandomSource(72))
@@ -979,7 +979,7 @@ class TestTopScreen:
 
     def test_pilot_choice_does_not_depend_on_event_count(self):
         classing = build_classes(screen_matrices()["distinct"])
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         for pressure in (2.0, 20.0, 200.0):
             chosen = {
                 selectors._decisive_top_scores(n, classing.m, pressure, RandomSource(74), screen)
@@ -992,7 +992,7 @@ class TestTopScreen:
         """The pilot's events and the others, drawn in two calls, are the
         draws of one call over every event."""
         classing = build_classes(screen_matrices()["distinct"])
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         for n in (1, selectors._PILOT, selectors._PILOT + 1, 300):
             top = selectors._decisive_top_scores(n, classing.m, 200.0, RandomSource(75), screen)
             whole = selectors._top_scores(n, classing.m, 200.0, RandomSource(75))
@@ -1060,7 +1060,7 @@ class TestLexScreen:
                                 np.testing.assert_array_equal(
                                     picks, expected, err_msg=f"{name} k={classing.k} {cfg}"
                                 )
-                shifted = selectors._shifted_errors(classing.class_errors)
+                shifted = selectors._shifted_errors(classing.class_errors)[0]
                 screen = selectors._screen_setup(shifted)
                 if screen is not None:
                     scores = sample_importance(
@@ -1072,7 +1072,7 @@ class TestLexScreen:
     def test_decisions_match_the_float64_cascade(self):
         for name, errors in self.matrices().items():
             for classing in (build_classes(errors), singleton_classes(errors)):
-                shifted = selectors._shifted_errors(classing.class_errors)
+                shifted, class_rows = selectors._shifted_errors(classing.class_errors)
                 screen = selectors._screen_setup(shifted)
                 if screen is None:
                     continue
@@ -1080,7 +1080,7 @@ class TestLexScreen:
                     cfg = SelectorConfig("dalex", pressure=pressure)
                     scores = sample_importance(300, classing.m, cfg, RandomSource(84))
                     rows, classes, _ = selectors._lex_screen(scores, screen)
-                    marked = selectors._cascade(scores, shifted)
+                    marked = selectors._cascade(scores, shifted, class_rows)
                     expected = np.zeros_like(marked[rows])
                     expected[np.arange(rows.size), classes] = True
                     np.testing.assert_array_equal(marked[rows], expected, err_msg=name)
@@ -1090,7 +1090,7 @@ class TestLexScreen:
         # lone survivor of its own filter.
         errors = np.random.default_rng(85).integers(0, 3, (60, 20)).astype(float)
         classing = singleton_classes(np.vstack([errors, errors]))
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         for pressure in self.PRESSURES:
             cfg = SelectorConfig("dalex", pressure=pressure)
             scores = sample_importance(400, classing.m, cfg, RandomSource(86))
@@ -1129,7 +1129,7 @@ class TestLexScreen:
         importance -= importance.max(axis=1, keepdims=True) + 100.0
         importance[:, 0] = 0.0
         importance[:, 1] = -(2.0**-60)
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         assert selectors._lex_screen(importance, screen)[0].size == 0
         picks = dalex_select(classing, 300, cfg, RandomSource(90), importance)
         np.testing.assert_array_equal(
@@ -1141,7 +1141,7 @@ class TestLexScreen:
         # A floor, so a screen that silently decides nothing fails.
         errors = np.random.default_rng(91).integers(0, 6, (4000, 200)).astype(float)
         classing = build_classes(errors)
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         assert not screen.unique_min.any()
         scores = sample_importance(
             4000, classing.m, SelectorConfig("dalex", pressure=200.0), RandomSource(92)
@@ -1155,7 +1155,7 @@ class TestLexScreen:
         # TestTopScreen.test_most_distinct_events_skip_the_rest_of_their_scores,
         # with full normal rows.
         errors = np.argsort(np.random.default_rng(69).random((1000, 200)), axis=0)
-        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)
+        shifted = selectors._shifted_errors(build_classes(errors + 0.5).class_errors)[0]
         screen = selectors._screen_setup(shifted)
         scores = sample_importance(
             1000, 200, SelectorConfig("dalex", pressure=200.0), RandomSource(70)
@@ -1167,7 +1167,7 @@ class TestLexScreen:
         # At pressure 2 the tail term alone rules every event out.
         errors = np.random.default_rng(93).integers(0, 6, (500, 200)).astype(float)
         classing = build_classes(errors)
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         scores = sample_importance(
             500, classing.m, SelectorConfig("dalex", pressure=2.0), RandomSource(94)
         )
@@ -1193,7 +1193,9 @@ class TestLexScreen:
         errors[:, 2] = np.finfo(np.float64).tiny / 4
         errors[5, 3] = np.finfo(np.float64).max
         expected = np.min(errors, axis=0, where=errors != 0, initial=np.inf)
-        np.testing.assert_array_equal(selectors._least_nonzero(errors), expected)
+        # Row-wise: each case is a row of the case-major errors.
+        rows = np.ascontiguousarray(errors.T)
+        np.testing.assert_array_equal(selectors._least_nonzero(rows), expected)
         assert np.isinf(expected[:2]).all()
 
     def test_swar_bit_count(self):
@@ -1202,6 +1204,15 @@ class TestLexScreen:
         counts = [[bin(int(w)).count("1") for w in row] for row in words]
         np.testing.assert_array_equal(selectors._swar_popcount(words), counts)
         np.testing.assert_array_equal(selectors._row_popcount(words), np.sum(counts, axis=1))
+        # Rows of at least 2^16 bits take the default accumulator: 65,600
+        # set bits would wrap in the narrow one.
+        wide = np.full((3, 1025), 2**64 - 1, dtype=np.uint64)
+        wide[1, ::2] = 0
+        wide[2] = words[0, 6]
+        expected = [1025 * 64, 512 * 64, 1025 * 32]
+        np.testing.assert_array_equal(selectors._row_popcount(wide), expected)
+        narrow = wide[:, :1023]
+        np.testing.assert_array_equal(selectors._row_popcount(narrow), [1023 * 64, 511 * 64, 1023 * 32])
 
     def test_screened_picks_without_a_bit_count_ufunc(self, monkeypatch):
         # NumPy 1.x has no np.bitwise_count; the screen falls back to the
@@ -1210,7 +1221,7 @@ class TestLexScreen:
         classing = build_classes(errors)
         cfg = SelectorConfig("dalex", pressure=200.0)
         scores = sample_importance(300, classing.m, cfg, RandomSource(98))
-        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors))
+        screen = selectors._screen_setup(selectors._shifted_errors(classing.class_errors)[0])
         rows, classes, _ = selectors._lex_screen(scores, screen)
         picks = dalex_select(classing, 300, cfg, RandomSource(99))
         monkeypatch.delattr(np, "bitwise_count", raising=False)
@@ -1228,7 +1239,7 @@ def per_block_dalex_picks(classing, n_events, cfg, rng, importance=None):
     class_errors = classing.class_errors
     if cfg.relaxed:
         class_errors = standardize_per_case(class_errors, classing.sizes)
-    class_errors = selectors._shifted_errors(class_errors)
+    class_errors, class_rows = selectors._shifted_errors(class_errors)
     screen = selectors._screen_setup(class_errors)
     top = None
     unique = screen is not None and screen.unique_min.any()
@@ -1270,7 +1281,7 @@ def per_block_dalex_picks(classing, n_events, cfg, rng, importance=None):
             picks[events[screened]] = best
             left[screened] = False
         if left.any():
-            marked = selectors._cascade(scores if left.all() else scores[left], class_errors)
+            marked = selectors._cascade(scores if left.all() else scores[left], class_errors, class_rows)
             picks[events[left]] = selectors._pick_marked(marked, u[events[left]])
     return picks
 
@@ -1286,9 +1297,9 @@ class TestPassCascade:
         calls = []
         cascade = selectors._cascade
 
-        def recorded(scores, class_errors):
+        def recorded(scores, *errors):
             calls.append(scores.shape[0])
-            return cascade(scores, class_errors)
+            return cascade(scores, *errors)
 
         patch.setattr(selectors, "_cascade", recorded)
         return calls
@@ -1390,6 +1401,12 @@ def repeated_matrices():
     }
 
 
+def case_major(errors):
+    """``errors`` as the (k, m) view of a case-major copy, the layout
+    :func:`selectors._shifted_errors` returns."""
+    return np.ascontiguousarray(errors.T).T
+
+
 def merged_groups(columns, m):
     """Each column's group under :func:`selectors._column_groups`' result,
     groups numbered as in the merged errors; every column alone when None."""
@@ -1410,7 +1427,7 @@ class TestMergedColumns:
 
     def test_groups_are_the_identical_columns(self):
         for name, errors in repeated_matrices().items():
-            shifted = selectors._shifted_errors(build_classes(errors).class_errors)
+            shifted = selectors._shifted_errors(build_classes(errors).class_errors)[0]
             group = merged_groups(selectors._column_groups(shifted), shifted.shape[1])
             _, expected = np.unique(shifted.T, axis=0, return_inverse=True)
             # The same partition, whatever the numbering.
@@ -1424,19 +1441,19 @@ class TestMergedColumns:
         errors[:, 3] = errors[:, 2]
         # Columns 2 and 3 agree on the fingerprint rows only.
         errors[selectors._FINGERPRINT_ROWS + 4, 3] += 1.0
-        group = merged_groups(selectors._column_groups(errors), 6)
+        group = merged_groups(selectors._column_groups(case_major(errors)), 6)
         assert group[0] == group[1]
         assert len(set(group[2:].tolist())) == 4 and group[0] not in group[2:]
         distinct = rng.random((100, 6))
-        assert selectors._column_groups(distinct) is None
+        assert selectors._column_groups(case_major(distinct)) is None
         # Equal on the first row only: the fingerprint rows tell them apart.
         distinct[0, 5] = distinct[0, 4]
-        assert selectors._column_groups(distinct) is None
+        assert selectors._column_groups(case_major(distinct)) is None
 
     def test_merged_scores_weigh_each_group_as_its_columns(self):
         rng = np.random.default_rng(50)
         errors = repeated_matrices()["sizes-1-5"]
-        columns = selectors._column_groups(errors)
+        columns = selectors._column_groups(case_major(errors))
         group = merged_groups(columns, errors.shape[1])
         for pressure in (2.0, 200.0, 2000.0):
             scores = rng.normal(0.0, pressure, (50, errors.shape[1]))
@@ -1497,7 +1514,7 @@ class TestMergedColumns:
         rng = np.random.default_rng(55)
         errors = rng.integers(0, 4, (7, 4)).astype(float)[:, [0, 1, 1, 2, 3, 3, 3]]
         classing = build_classes(errors)
-        assert selectors._column_groups(classing.class_errors) is not None
+        assert selectors._column_groups(case_major(classing.class_errors)) is not None
         exact = exact_lexicase_probs(classing).probs
         cfg = SelectorConfig("dalex", pressure=200.0)
         picks = dalex_select(classing, 30_000, cfg, RandomSource(56))
@@ -1571,6 +1588,160 @@ def per_block_partial_picks(classing, n_events, cfg, rng, importance=None):
         marked = fitness == fitness.min(axis=1, keepdims=True)
         picks[lo:hi] = selectors._pick_marked(marked, u[lo:hi])
     return picks
+
+
+def column_wise_screen_fields(class_errors):
+    """:func:`selectors._screen_setup`'s per-case and per-class fields,
+    built column by column from the class-major ``class_errors``, as
+    they were before the shift was stored case major."""
+    zero = class_errors == 0
+    most = float(class_errors.max(initial=0.0))
+    return {
+        "most": most,
+        "elite_sizes": np.count_nonzero(zero, axis=0),
+        "unique_min": np.count_nonzero(zero, axis=0) == 1,
+        "best": zero.argmax(axis=0),
+        "runner_up": np.min(class_errors, axis=0, where=~zero, initial=np.inf),
+        # Past the float32 screen's range the set-up returns None, and
+        # the sums may overflow.
+        "sums": class_errors.sum(axis=1) if most <= selectors._F32_ROOM else None,
+    }
+
+
+def column_wise_partial_fields(class_errors, class_support):
+    """:func:`selectors._partial_setup`'s fields from transposed views and a
+    masked minimum, as they were built before the case-major +inf rows."""
+    defined = class_support == 1.0
+    return {
+        "zeros": selectors._bitsets(class_errors.T == 0),
+        "defined": selectors._bitsets(defined.T),
+        "least": np.min(class_errors, axis=0, where=class_errors != 0, initial=np.inf),
+        "most": class_errors.max(axis=1),
+        "fewest": np.min(class_errors, axis=1, where=defined, initial=np.inf),
+    }
+
+
+class TestCaseMajorLayout:
+    """The shift is stored case major, and every screen's set-up reads it
+    (or the case-major +inf errors, on partial support) a chunk of case
+    rows at a time, with the fields of the column-wise construction."""
+
+    def setup_matrices(self):
+        rng = np.random.default_rng(102)
+        tiny = np.finfo(np.float64).tiny
+        signed = rng.integers(0, 3, (70, 9)).astype(float)
+        # +0 and -0 both count as zeros; the shift keeps a -0 whose case
+        # least is +0.
+        signed[:35, 1] = -0.0
+        signed[35:, 1] = 0.0
+        signed[::3, 2] = -0.0
+        subnormal = rng.integers(0, 4, (50, 12)) * (tiny / 8)
+        subnormal[:, 0] = tiny / 4
+        room = rng.integers(0, 3, (40, 10)) * (selectors._F32_ROOM / 2)
+        return {
+            **{name: selectors._shifted_errors(e)[0] for name, e in TestLexScreen().matrices().items()},
+            **{f"screen {name}": selectors._shifted_errors(e)[0] for name, e in screen_matrices().items()},
+            "signed zeros": case_major(signed),
+            "subnormal": case_major(subnormal),
+            "largest screened": case_major(room),
+            "largest finite": case_major(rng.choice([0.0, np.finfo(np.float64).max], (30, 6))),
+        }
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    def test_screen_setup_matches_the_column_wise_fields(self, monkeypatch, chunk):
+        # A chunk of 64 entries splits every matrix into several chunks.
+        monkeypatch.setattr(selectors, "_CHUNK_ENTRIES", chunk)
+        screened = set()
+        for name, errors in self.setup_matrices().items():
+            screen = selectors._screen_setup(errors)
+            expected = column_wise_screen_fields(errors)
+            if expected["most"] > selectors._F32_ROOM:
+                assert screen is None, name
+                continue
+            screened.add(name)
+            assert screen.errors_t.flags.c_contiguous, name
+            np.testing.assert_array_equal(screen.errors_t, errors.T, err_msg=name)
+            m = errors.shape[1]
+            for field, value in expected.items():
+                got = getattr(screen, field)
+                if field == "sums":
+                    # Summed case row by case row: another order, within
+                    # the gamma_m every bound allows for.
+                    bound = 2 * selectors._gamma(m, 2.0**-53) * value
+                    assert (np.abs(got - value) <= bound).all(), name
+                else:
+                    np.testing.assert_array_equal(got, value, err_msg=f"{name} {field}")
+            assert screen.top_absolute == m * m * 2.0**-1072
+        assert {"k=64", "k=65", "signed zeros", "subnormal", "largest screened"} <= screened
+        assert "largest finite" not in screened
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    def test_partial_setup_matches_the_column_wise_fields(self, monkeypatch, chunk):
+        monkeypatch.setattr(selectors, "_CHUNK_ENTRIES", chunk)
+        cases = dict(partial_matrices())
+        errors, support = partial_matrices()["zero-rich"]
+        # No class defined on case 3, and class 0 defined on case 5 only.
+        errors, support = errors.copy(), support.copy()
+        errors[:, 3] = support[:, 3] = 0.0
+        errors[0], support[0] = 0.0, 0.0
+        errors[0, 5], support[0, 5] = 2.0, 1.0
+        cases["undefined case"] = (errors, support)
+        wide = make_regime_matrices("partial_support", 300, 200, RandomSource(103))
+        cases["wide"] = wide
+        for name, (errors, support) in cases.items():
+            classing = build_classes(errors, support)
+            setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+            expected = column_wise_partial_fields(classing.class_errors, classing.class_support)
+            for field, value in expected.items():
+                np.testing.assert_array_equal(getattr(setup, field), value, err_msg=f"{name} {field}")
+        classing = build_classes(*cases["undefined case"])
+        setup = selectors._partial_setup(classing.class_errors, classing.class_support)
+        assert np.isinf(setup.least[3]) and not setup.defined[3].any()
+        negative = build_classes((errors - 1.0) * support, support)
+        assert selectors._partial_setup(negative.class_errors, negative.class_support) is None
+
+    def test_class_rows_have_the_bits_of_the_shift(self):
+        rng = np.random.default_rng(104)
+        matrices = [
+            rng.random((60, 7)),
+            rng.integers(-3, 3, (40, 5)).astype(float),
+            # A range that overflows, so the shift scales by 0.25.
+            rng.choice([-1e308, 0.0, 1e308], (30, 10)),
+        ]
+        for errors in matrices:
+            shifted, rows = selectors._shifted_errors(errors)
+            assert shifted.T.flags.c_contiguous and rows.shape == shifted.shape
+            classes = rng.integers(0, errors.shape[0], 50)
+            np.testing.assert_array_equal(
+                rows[classes].view(np.uint64), shifted[classes].view(np.uint64)
+            )
+        assert rows.scale == 0.25
+
+    @pytest.mark.parametrize("route", ["full-rows", "merged", "in-parts"])
+    def test_every_screen_reads_case_rows(self, monkeypatch, route):
+        errors, _ = make_regime_matrices("continuous_all_distinct", 300, 40, RandomSource(60))
+        cfg = SelectorConfig("dalex", pressure=200.0, distribution="uniform")
+        ran = "_lex_screen"
+        if route == "merged":
+            errors, ran = errors[:, np.arange(40) // 2], "_merged_scores"
+        elif route == "in-parts":
+            cfg, ran = SelectorConfig("dalex", pressure=200.0), "_top_decide"
+        screens, calls = [], []
+        setup, first = selectors._screen_setup, getattr(selectors, ran)
+
+        def recorded_setup(class_errors):
+            screens.append(setup(class_errors))
+            return screens[-1]
+
+        def recorded(*args):
+            calls.append(ran)
+            return first(*args)
+
+        monkeypatch.setattr(selectors, "_screen_setup", recorded_setup)
+        monkeypatch.setattr(selectors, ran, recorded)
+        dalex_select(build_classes(errors), 300, cfg, RandomSource(62))
+        assert calls and screens
+        assert all(screen.errors_t.flags.c_contiguous for screen in screens)
 
 
 def partial_matrices():
