@@ -1785,6 +1785,12 @@ def _least_marked(classing: EquivalenceClassing, weights: np.ndarray, buffers) -
 # count.
 _PAIR_BUDGET = 1 << 18
 
+# A filter run's events scan ahead for batches their classes agree on
+# once at least this share of its event-steps kept every class
+# (:func:`_filter_pairs`): about 0.85 on a converged evolve population,
+# 0.00-0.11 on the benchmark's select matrices.
+_SKIP_SHARE = 0.5
+
 
 def _segment_positions(heads: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated ranges ``heads[i] : heads[i] + counts[i]``."""
@@ -2010,7 +2016,8 @@ def _filter_step(
     cases: np.ndarray,
     counts: np.ndarray,
     classes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    ahead: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
     """Filter one batch of cases for a set of events.
 
     ``case_errors`` holds one row per case and one column per class, with
@@ -2031,16 +2038,21 @@ def _filter_step(
     * ``"mad"``: the median absolute deviation of the defined pairs'
       scores, each counted once per member (``sizes``).
 
-    Returns the kept pairs' classes and the number kept per event.
+    Returns the kept pairs' classes and the number kept per event.  With
+    ``ahead``, row i the next cases of event i's order, it also returns
+    per event the number of leading ``ahead`` cases on which its kept
+    classes all have equal errors, counted only where they all kept the
+    least score and several were kept, else 0.
     """
     heads = np.cumsum(counts) - counts
+    k = case_errors.shape[1]
     # Flat positions of each pair's entries in the case-major matrix; an
     # event's classes ascend, so it reads each case row in order.
-    at = np.repeat(cases * case_errors.shape[1], counts, axis=0) + classes[:, None]
+    at = np.repeat(cases * k, counts, axis=0) + classes[:, None]
     scores = _batch_means(case_errors.take(at), undefined)
-    threshold = np.minimum.reduceat(scores, heads)
+    least = threshold = np.minimum.reduceat(scores, heads)
     if isinstance(tolerance, np.ndarray):
-        threshold += tolerance[cases[:, 0]]
+        threshold = least + tolerance[cases[:, 0]]
     elif tolerance == "mad":
         weights = sizes[classes]
         if undefined:
@@ -2048,11 +2060,29 @@ def _filter_step(
         scored = np.isfinite(threshold)
         if scored.any():
             pairs = np.repeat(scored, counts)
+            threshold = least.copy()
             threshold[scored] += _segment_mad(scores[pairs], weights[pairs], counts[scored])
     elif tolerance is not None:
-        threshold += tolerance
+        threshold = least + tolerance
     keep = scores <= np.repeat(threshold, counts)
-    return classes[keep], np.add.reduceat(keep, heads)
+    kept, n_kept = classes[keep], np.add.reduceat(keep, heads)
+    if ahead is None:
+        return kept, n_kept
+    # With no tolerance every kept class has the least score.
+    scan = n_kept > 1
+    if threshold is not least:
+        scan &= np.maximum.reduceat(scores[keep], np.cumsum(n_kept) - n_kept) == least
+    agreed = np.zeros(counts.size, dtype=np.intp)
+    if scan.any():
+        # One gather of the scanned events' kept pairs over their next
+        # cases, each compared with its event's first pair.
+        counts = n_kept[scan]
+        heads = np.cumsum(counts) - counts
+        at = np.repeat(ahead[scan] * k, counts, axis=0) + kept[np.repeat(scan, n_kept), None]
+        errors = case_errors.take(at)
+        differ = np.logical_or.reduceat(errors != np.repeat(errors[heads], counts, axis=0), heads)
+        agreed[scan] = np.where(differ.any(axis=1), differ.argmax(axis=1), ahead.shape[1])
+    return kept, n_kept, agreed
 
 
 def _filter_pairs(
@@ -2063,15 +2093,21 @@ def _filter_pairs(
     :func:`_filter_step` from :func:`_case_major_steps`.
 
     Row i of ``orders`` is event i's case order, walked in consecutive
-    batches of ``batch_size`` cases.  An event retires once one class
-    survives.  Returns each event's lone survivor (unset for the others),
-    the events left with several classes when the cases run out, and
-    their surviving pairs as counts and classes.
+    batches of ``batch_size`` cases; the last batch is short when the
+    batch size does not divide the order.  An event retires once one
+    class survives.  Returns each event's lone survivor (unset for the
+    others), the events left with several classes when the cases run
+    out, and their surviving pairs as counts and classes.
+
+    The events walk their orders in step, one batch a call, until at
+    least :data:`_SKIP_SHARE` of their event-steps so far kept every
+    class, as on converged populations.  From then on each event skips
+    the batches its classes agree on (:func:`_skip_agreed`).
     """
     m = orders.shape[1]
     events = np.arange(orders.shape[0])
     lone = np.empty(events.size, dtype=classes.dtype)
-    start = 0
+    start = steps = kept_all = 0
     while True:
         settled = counts == 1
         if settled.any():
@@ -2081,9 +2117,87 @@ def _filter_pairs(
             events, counts = events[left], counts[left]
         if events.size == 0 or start >= m:
             return lone, events, counts, classes
+        if kept_all >= _SKIP_SHARE * max(steps, 1):
+            events, counts, classes = _skip_agreed(
+                step, batch_size, orders, events, start, counts, classes, lone
+            )
+            return lone, events, counts, classes
         cases = orders[events, start : start + batch_size].astype(np.intp, copy=False)
-        classes, counts = step(cases, counts, classes)
+        new_classes, new_counts = step(cases, counts, classes)
+        steps += counts.size
+        kept_all += np.count_nonzero(new_counts == counts)
+        classes, counts = new_classes, new_counts
         start += batch_size
+
+
+def _skip_agreed(
+    step: Callable,
+    batch_size: int,
+    orders: np.ndarray,
+    events: np.ndarray,
+    start: int,
+    counts: np.ndarray,
+    classes: np.ndarray,
+    lone: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_filter_pairs` from case ``start`` of the orders on, for
+    ``events``, their pair counts and classes, with a cursor per event.
+
+    Each step passes the events' next cases to ``step`` as ``ahead``.  An
+    event whose kept classes all have the least score gets back how many
+    of those cases its classes have equal errors on; on a batch where
+    they do, their scores are equal, so every tolerance keeps them all
+    (an undefined score is +inf for all of them).  Its cursor then jumps
+    to the first batch on which they differ, or past the order's end.
+    A skipped batch would move no pair, so survivors and picks are those
+    of the walk in step.  The events left after the last full batch take
+    the short last batch, if any, together in one step.  Writes the
+    settled events' lone survivors to ``lone`` and returns the events
+    left with several classes, their counts and classes.
+    """
+    m = orders.shape[1]
+    # Past the last full batch, an event has the short batch left, or none.
+    full = m - m % batch_size
+    cursor = np.full(events.size, start)
+    batch = np.arange(batch_size)
+    passed = []
+    while True:
+        settled = counts == 1
+        out = settled | (cursor >= full)
+        if out.any():
+            lone[events[settled]] = classes[np.repeat(settled, counts)]
+            passed.append(_some_pairs(out & ~settled, events, cursor, counts, classes))
+            events, cursor, counts, classes = _some_pairs(~out, events, cursor, counts, classes)
+        if events.size == 0:
+            break
+        cases = orders[events[:, None], cursor[:, None] + batch].astype(np.intp, copy=False)
+        # One scan gathers about as many entries as a pool holds pairs.
+        width = min(_PAIR_BUDGET // 16 // classes.size, m - batch_size - cursor.min())
+        if width > 0:
+            width = -(-width // batch_size) * batch_size
+            # Positions past the order read its last case, which an event
+            # that gets there has already compared.
+            at = np.minimum(cursor[:, None] + batch_size + np.arange(width), m - 1)
+            ahead = orders[events[:, None], at].astype(np.intp, copy=False)
+            classes, counts, agreed = step(cases, counts, classes, ahead)
+            cursor += agreed - agreed % batch_size
+        else:
+            classes, counts = step(cases, counts, classes)
+        cursor += batch_size
+    events, _, counts, classes = (np.concatenate(part) for part in zip(*passed))
+    if full < m:
+        # One step takes the short last batch for every event left; it
+        # keeps every class of an event that skipped it.
+        lone[events], left, counts, classes = _filter_pairs(
+            step, m - full, orders[events, full:], counts, classes
+        )
+        events = events[left]
+    return events, counts, classes
+
+
+def _some_pairs(chosen, events, cursor, counts, classes):
+    """The chosen events' indices, cursors, pair counts and classes."""
+    return events[chosen], cursor[chosen], counts[chosen], classes[np.repeat(chosen, counts)]
 
 
 def _finish_events(
@@ -2196,7 +2310,11 @@ def _filter_events(
     :data:`_PAIR_BUDGET` case order entries, and at the end of the pass.
     A block whose own contested pairs reach that cap runs by itself, as
     does the last block when nothing else is pooled.  Each event's filter
-    reads its own pairs only, so pooling moves no pick.
+    reads its own pairs only, so pooling moves no pick.  Where most
+    event-steps of a filter run keep every class, as on converged
+    populations, its events skip the batches their classes agree on,
+    each from its own place in its order (:func:`_skip_agreed`); a
+    skipped batch would keep every class, so no pick moves either.
     """
     if n_events < 1:
         raise ShapeError(f"need n_events >= 1, got {n_events}")

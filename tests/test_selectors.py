@@ -2838,6 +2838,124 @@ class TestPooledFilter:
         assert peaks[1] < 1.5 * peaks[0]
 
 
+def agreed_run_matrices(m):
+    """Errors and support, by name, of m-case instances whose classes
+    agree on long runs of cases.  Case 0 spreads every row's error, so
+    some epsilon tolerance is positive."""
+    rng = np.random.default_rng(51 + m)
+    # Four distinct 0/1 columns repeated over the cases.
+    repeated = rng.integers(0, 2, (12, 4)).astype(float)[:, rng.integers(0, 4, m)]
+    # Ten rows equal but on one or two cases each.
+    near = np.zeros((10, m))
+    near[np.arange(10)[:, None], rng.integers(1, m, (10, 2))] = rng.integers(1, 3, (10, 2))
+    support = (rng.random(near.shape) < 0.7).astype(float)
+    # No one is defined on a run of cases.
+    support[:, 1 : 1 + m // 2] = 0.0
+    support[:, 0] = 1.0
+    for errors in (repeated, near):
+        errors[:, 0] = np.arange(len(errors)) % 3
+    return {
+        "repeated": (repeated, None),
+        "one-or-two-cases": (near, None),
+        "partial": (near * support, support),
+        # Classes of one to three members, weighed by the MAD.
+        "duplicates": (near[[0, 1, 1, 2, 3, 3, 3, 4, 5, 5, 6, 7, 8, 9]], None),
+    }
+
+
+def agreed_run_configs(m):
+    """A cell of every tolerance kind, by name: none, per case, fixed and
+    MAD, the batch sizes leaving a short last batch at m = 7 or 200."""
+    cells = {
+        "lexicase": SelectorConfig(method="lexicase"),
+        "epsilon_lexicase": SelectorConfig(method="epsilon_lexicase"),
+    }
+    for size in (2, 3) if m == 7 else (3, 16):
+        for mode, value in (("absolute", 0.0), ("absolute", 0.5), ("mad", 0.0)):
+            cells[f"batch-b{size}-{mode}-{value:g}"] = SelectorConfig(
+                method="batch_lexicase",
+                batch_size=size,
+                batch_threshold_mode=mode,
+                batch_threshold_value=value,
+            )
+    return cells
+
+
+def converged_classing(m=200, n=1000):
+    """The classing ``run_evolution`` selects on at generation 1 of a
+    lexicase run, as perfbench's evolve workload times it: selection and
+    mutation leave duplicates, and most classes tie on most cases."""
+    problem = SyntheticProblem(kind="discrete_vector", m=m, seed=3)
+    seen = []
+    run_evolution(problem, SelectorConfig(method="lexicase"), n, 2, RandomSource(3),
+                  on_generation=lambda t, classing, parents: seen.append(classing))
+    return seen[1]
+
+
+class TestSkipAgreed:
+    """Events skip the batches their classes agree on, and every pick
+    equals the scalar replay's, whether the scans always or never run."""
+
+    GATES = {"always": 0.0, "never": np.inf}
+
+    @staticmethod
+    def recorded_scans(monkeypatch):
+        """Patch ``_filter_step`` to append, for each of its calls that
+        scans ahead, the most cases an event agreed on."""
+        agreed = []
+        filter_step = selectors._filter_step
+
+        def recorded(*args):
+            out = filter_step(*args)
+            if len(out) == 3:
+                agreed.append(int(out[2].max()))
+            return out
+
+        monkeypatch.setattr(selectors, "_filter_step", recorded)
+        return agreed
+
+    @pytest.mark.parametrize("gate", list(GATES))
+    @pytest.mark.parametrize("name", list(agreed_run_matrices(7)))
+    @pytest.mark.parametrize(
+        "m, method", [(m, method) for m in (7, 200) for method in agreed_run_configs(m)]
+    )
+    def test_matches_scalar_replay(self, m, method, name, gate, monkeypatch):
+        cfg = agreed_run_configs(m)[method]
+        classing = build_classes(*agreed_run_matrices(m)[name])
+        agreed = self.recorded_scans(monkeypatch)
+        monkeypatch.setattr(selectors, "_SKIP_SHARE", self.GATES[gate])
+        assert_matches_replay(classing, cfg, RandomSource(52), n_events=200 if m == 7 else 60)
+        if gate == "never":
+            assert not agreed
+
+    @pytest.mark.parametrize("method", ["lexicase", "epsilon_lexicase", "batch-b3-mad-0"])
+    @pytest.mark.parametrize("name", ["repeated", "one-or-two-cases", "partial", "duplicates"])
+    def test_events_skip_agreed_runs(self, name, method, monkeypatch):
+        # On these instances some event's classes agree on a whole batch
+        # ahead, so its cursor jumps.
+        cfg = agreed_run_configs(200)[method]
+        classing = build_classes(*agreed_run_matrices(200)[name])
+        agreed = self.recorded_scans(monkeypatch)
+        monkeypatch.setattr(selectors, "_SKIP_SHARE", 0.0)
+        selectors.select_classes(classing, 60, cfg, RandomSource(52))
+        assert max(agreed) >= cfg.batch_size
+
+    def test_default_gate_scans_on_converged_populations_only(self, monkeypatch):
+        # Most event-steps on a converged population keep every class, so
+        # the scans start; on select-ties errors few do.
+        agreed = self.recorded_scans(monkeypatch)
+        ties = np.random.default_rng(53).integers(0, 6, (1000, 200)).astype(float)
+        for classing, scans in ((converged_classing(), True), (build_classes(ties), False)):
+            for cfg in agreed_run_configs(7).values():
+                agreed.clear()
+                picks = selectors.select_classes(classing, 500, cfg, RandomSource(54))
+                assert bool(agreed) == scans, cfg
+                with monkeypatch.context() as patch:
+                    patch.setattr(selectors, "_SKIP_SHARE", np.inf)
+                    never = selectors.select_classes(classing, 500, cfg, RandomSource(54))
+                np.testing.assert_array_equal(picks, never)
+
+
 class TestSelectParents:
     def test_indices_are_individuals(self):
         errors = [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]

@@ -2,6 +2,8 @@
 
     python3 tools/ab_pass.py PARENT CHANGE --input continuous_all_distinct --pairs 20
     python3 tools/ab_pass.py PARENT CHANGE --input evolve --n 1000 --stages _screen_setup
+    python3 tools/ab_pass.py PARENT CHANGE --input evolve --n 1000 --generations 1 \
+        --method batch_lexicase --batch-size 2 --events 1000
 
 Each checkout's ``src/lexsel`` is copied into a temporary directory as
 the packages ``lexsel_a`` (PARENT) and ``lexsel_b`` (CHANGE); the
@@ -9,15 +11,19 @@ package's own imports are relative, so both load side by side in one
 process.  A pass is ``build_classes`` -> ``select_classes`` ->
 ``expand_class_selection`` on one input: a regime of
 ``lexsel.bench.make_regime_matrices`` (n x m) or ``evolve``, the errors
-of n initial ``discrete_vector`` genomes.  Pairs alternate which side
-runs first, and both sides of a pair use the same pass seed.  The
-script prints each side's median milliseconds, the ratio of the
-medians (parent over change, so above 1 means the change is faster),
-how many pairs the change won, and whether every pass picked the same
-parents on both sides.  ``--stages`` wraps the named functions of
-``selectors`` (``Class.method`` for a method) on both sides and prints
-each one's median seconds a pass, calls included.  Not part of the test
-suite.  Set ``OPENBLAS_NUM_THREADS`` to pin BLAS threads; it defaults
+of n initial ``discrete_vector`` genomes.  With ``--generations G``
+above 0, ``evolve`` is instead the population ``run_evolution`` selects
+on at generation G, evolved from the input seed with the method's own
+selector (side a's package), as perfbench's evolve workload times it at
+G = 1: selection and mutation leave duplicates and converged columns.
+Pairs alternate which side runs first, and both sides of a pair use the
+same pass seed.  The script prints each side's median milliseconds, the
+ratio of the medians (parent over change, so above 1 means the change
+is faster), how many pairs the change won, and whether every pass
+picked the same parents on both sides.  ``--stages`` wraps the named
+functions of ``selectors`` (``Class.method`` for a method) on both sides
+and prints each one's median seconds a pass, calls included.  Not part
+of the test suite.  Set ``OPENBLAS_NUM_THREADS`` to pin BLAS threads; it defaults
 to one here.
 """
 
@@ -50,6 +56,9 @@ def parse_args(argv):
     parser.add_argument("--events", type=int, default=None, help="events a pass (default n)")
     parser.add_argument("--method", default="dalex")
     parser.add_argument("--pressure", type=float, default=200.0)
+    parser.add_argument("--batch-size", type=int, default=1, help="batch_lexicase cases a batch")
+    parser.add_argument("--generations", type=int, default=0,
+                        help="evolve: select on the population after this many generations")
     parser.add_argument("--seed", type=int, default=13001, help="input seed")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--warmup", type=int, default=2)
@@ -64,13 +73,37 @@ def load(checkout: str, name: str, into: str):
     return importlib.import_module(name)
 
 
+def config(pkg, args):
+    return pkg.selectors.SelectorConfig(method=args.method, pressure=args.pressure,
+                                        batch_size=args.batch_size)
+
+
 def matrices(pkg, args):
     if args.input == "evolve":
         problem = pkg.evolve.SyntheticProblem(kind="discrete_vector", m=args.m, seed=args.seed)
+        if args.generations > 0:
+            return evolved(pkg, problem, args)
         gen = pkg.core.RandomSource(args.seed).generator(0)
         return problem.evaluate([problem.initial_genome(gen) for _ in range(args.n)])
     return pkg.bench.make_regime_matrices(args.input, args.n, args.m,
                                           pkg.core.RandomSource(args.seed))
+
+
+def evolved(pkg, problem, args):
+    """Errors and support of the population selected on at generation
+    ``args.generations`` of a ``run_evolution`` run, rebuilt from that
+    generation's classing (a class's members share its rows)."""
+    seen = {}
+
+    def capture(t, classing, parents):
+        if t == args.generations:
+            rows = classing.class_of()
+            support = None if classing.full_support else classing.class_support[rows]
+            seen["matrices"] = classing.class_errors[rows], support
+
+    pkg.evolve.run_evolution(problem, config(pkg, args), args.n, args.generations + 1,
+                             pkg.core.RandomSource(args.seed), on_generation=capture)
+    return seen["matrices"]
 
 
 def wrap_stages(pkg, names, totals):
@@ -108,7 +141,7 @@ def main(argv=None) -> int:
 
         def run(side, seed):
             pkg = pkgs[side]
-            cfg = pkg.selectors.SelectorConfig(method=args.method, pressure=args.pressure)
+            cfg = config(pkg, args)
             rng = pkg.core.RandomSource(seed)
             for name in stages:
                 totals[side][name] = 0.0
@@ -138,7 +171,8 @@ def main(argv=None) -> int:
     med = {s: statistics.median(times[s]) * 1e3 for s in SIDES}
     won = sum(b < a for a, b in zip(times["a"], times["b"]))
     print(f"input {args.input} n={args.n} m={args.m} events={events} method={args.method} "
-          f"pressure={args.pressure:g} pairs={args.pairs}")
+          f"pressure={args.pressure:g} batch={args.batch_size} generations={args.generations} "
+          f"pairs={args.pairs}")
     print(f"parent {med['a']:.3f} ms  change {med['b']:.3f} ms  "
           f"ratio {med['a'] / med['b']:.3f}x  change won {won}/{args.pairs}  "
           f"picks {'equal' if same else 'DIFFER'}")

@@ -24,10 +24,18 @@ epsilon-lexicase and every batch cell on each regime at 4000x200 with
 4000 events, and on the ``evolve`` population, whose converged
 duplicates tie on many cases.  The script prints one line per cell,
 ``regime seed method hash`` (the regime suffixed ``-4000`` for the
-multi-block cells), then ``total`` and a hash of every cell.  Running
-it on two checkouts and comparing the output shows which cells a change
-moved; a change that keeps picks bit-identical leaves every line as it
-was.  Not part of the test suite; it takes about a minute.
+multi-block cells), then ``total`` and a hash of every cell.  After the
+total come the ``deep-ties`` cells: the lexicase family on 1000 rows of
+one shared row, each with a larger error on one of eight of its m = 199
+cases, so classes differ on one or two cases and tie on the rest.  An
+event's survivors are the classes raised on the cases it has not yet
+stepped, so it walks deep into its order, skipping the runs of cases
+they agree on, and often reaches the short last batch every batch size
+leaves there.  A second total, ``deep-ties total``, hashes every cell
+printed.  Running it on two checkouts and comparing the output shows
+which cells a change moved; a change that keeps picks bit-identical
+leaves every line as it was.  Not part of the test suite; it takes
+about a minute.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ WIDE_N = 4000
 WIDE_REGIMES = REGIMES
 # The screenless grid's errors: continuous_all_distinct times this.
 HUGE = 1e300
+# The deep-ties cells' cases: 199 leaves a short last batch at b = 2, 3
+# and 16 after the first batch.
+DEEP_M = 199
 
 
 def evolve_matrices(n: int, m: int, seed: int):
@@ -61,6 +72,16 @@ def evolve_matrices(n: int, m: int, seed: int):
     problem = evolve.SyntheticProblem(kind="discrete_vector", m=m, seed=seed)
     gen = RandomSource(seed).generator(0)
     return problem.evaluate([problem.initial_genome(gen) for _ in range(n)])
+
+
+def deep_tie_matrices(n: int, m: int, seed: int):
+    """``n`` rows of one shared row of errors 0-3, each with its error on
+    one of eight cases raised by 1 to 3, and no support matrix."""
+    gen = np.random.default_rng([seed, m])
+    errors = np.tile(gen.integers(0, 4, m).astype(np.float64), (n, 1))
+    hot = gen.choice(m, 8, replace=False)
+    errors[np.arange(n), hot[gen.integers(0, 8, n)]] += gen.integers(1, 4, n)
+    return errors, None
 
 
 def dalex_configs(relaxed_cells=(False, True)) -> dict[str, SelectorConfig]:
@@ -95,6 +116,16 @@ def filter_configs() -> dict[str, SelectorConfig]:
     return cells
 
 
+def hash_cell(total, regime: str, seed: int, name: str, errors, support, n: int,
+              cfg: SelectorConfig) -> None:
+    """Print one cell's line, ``regime seed name hash``, and add its hash
+    to ``total``."""
+    picks = select_parents(errors, support, cfg, n, RandomSource(seed).child(1))
+    digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
+    total.update(digest.encode())
+    print(f"{regime} {seed} {name} {digest[:16]}", flush=True)
+
+
 def main() -> None:
     total = hashlib.sha256()
     grids = [
@@ -119,11 +150,13 @@ def main() -> None:
                 else:
                     errors, support = make_regime_matrices(regime, n, M, RandomSource(seed))
                 for name, cfg in cells.items():
-                    picks = select_parents(errors, support, cfg, n, RandomSource(seed).child(1))
-                    digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes()).hexdigest()
-                    total.update(digest.encode())
-                    print(f"{regime}{suffix} {seed} {name} {digest[:16]}", flush=True)
+                    hash_cell(total, f"{regime}{suffix}", seed, name, errors, support, n, cfg)
     print(f"total {total.hexdigest()[:16]}")
+    for seed in SEEDS:
+        errors, support = deep_tie_matrices(N, DEEP_M, seed)
+        for name, cfg in filter_configs().items():
+            hash_cell(total, f"deep-ties-{DEEP_M}", seed, name, errors, support, N, cfg)
+    print(f"deep-ties total {total.hexdigest()[:16]}")
 
 
 if __name__ == "__main__":
